@@ -2,9 +2,11 @@
 
 Chains are lists of revolute/prismatic joints given by an axis and a fixed
 origin offset. A MultiRobotSystem stacks several chains into one
-configuration vector. Constraint Jacobians go through the finite-difference
-fallback of the manifold layer; codimensions here are small, so this keeps
-the constructors simple and uniform.
+configuration vector. Constraint Jacobians are analytic: the geometric
+Jacobian built from the joint positions and world joint axes of a single
+forward-kinematics pass (Siciliano et al., Robotics: Modelling, Planning and
+Control, ch. 3). Collision sample points of a batch of configurations come
+from one batched pass over all of them.
 """
 from __future__ import annotations
 
@@ -28,6 +30,25 @@ def _rotation(axis, angle):
         [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
         [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
     ])
+
+
+def _rotations(axis, angles):
+    """Rotation matrices about one unit axis for a batch of angles, shape (n, 3, 3).
+
+    Same entries as ``_rotation``: c*I + s*[a]x + (1 - c)*a a^T.
+    """
+    x, y, z = axis
+    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+    return (c * np.eye(3) + s * K) + (1.0 - c) * np.outer(axis, axis)
+
+
+def _cross(a, b):
+    """Cross product along the first axis of (3, ...) arrays.
+
+    np.cross costs several times more than this for the few vectors of one chain.
+    """
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
 @dataclass(frozen=True)
@@ -60,6 +81,12 @@ class SerialChain:
             for lo, hi in self.limits:
                 if lo > hi:
                     raise ValueError("joint limit lo must be <= hi")
+        # float arrays of the geometry, converted once instead of on every FK pass
+        object.__setattr__(self, "_base", np.asarray(self.base, dtype=float))
+        object.__setattr__(self, "_tool", np.asarray(self.tool, dtype=float))
+        object.__setattr__(self, "_origins", [np.asarray(j.origin, dtype=float) for j in self.joints])
+        object.__setattr__(self, "_axes", [np.asarray(j.axis, dtype=float) for j in self.joints])
+        object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
 
     @property
     def dof(self):
@@ -73,31 +100,55 @@ class SerialChain:
     def fk_frames(self, q):
         """World positions of the base, each joint frame, and the tool point.
 
-        Returns (positions, R) where positions has shape (dof + 2, 3) and R is
-        the orientation of the tool frame.
+        Returns (positions, R, axes): positions has shape (dof + 2, 3), R is
+        the orientation of the tool frame, and axes (dof, 3) holds each
+        joint's world axis w_j = R_{j-1} axis_j, the rotation or sliding
+        direction the geometric Jacobian needs.
         """
         q = np.asarray(q, dtype=float)
-        p = np.asarray(self.base, dtype=float).copy()
+        p = self._base
         R = np.eye(3)
-        pts = [p.copy()]
-        for joint, qi in zip(self.joints, q):
-            p = p + R @ np.asarray(joint.origin, dtype=float)
-            axis = np.asarray(joint.axis, dtype=float)
-            if joint.type == REVOLUTE:
+        pts = [p]
+        axes = []
+        for origin, axis, revolute, qi in zip(self._origins, self._axes, self._revolute, q):
+            p = p + R @ origin
+            axes.append(R @ axis)
+            if revolute:
                 R = R @ _rotation(axis, qi)
             else:
                 p = p + R @ (axis * qi)
-            pts.append(p.copy())
-        p = p + R @ np.asarray(self.tool, dtype=float)
-        pts.append(p.copy())
-        return np.array(pts), R
+            pts.append(p)
+        p = p + R @ self._tool
+        pts.append(p)
+        return np.array(pts), R, np.array(axes).reshape(self.dof, 3)
+
+    def fk_frames_batch(self, Q):
+        """Frame positions for a batch of configurations Q (n, dof), shape (n, dof + 2, 3).
+
+        The batched form of the positions of ``fk_frames``: one Rodrigues
+        and matmul per joint for the whole batch.
+        """
+        Q = np.asarray(Q, dtype=float)
+        n = Q.shape[0]
+        p = np.broadcast_to(self._base, (n, 3))
+        R = np.broadcast_to(np.eye(3), (n, 3, 3))
+        pts = [p]
+        for j, (origin, axis, revolute) in enumerate(zip(self._origins, self._axes, self._revolute)):
+            p = p + R @ origin
+            if revolute:
+                R = R @ _rotations(axis, Q[:, j])
+            else:
+                p = p + R @ axis * Q[:, j, None]
+            pts.append(p)
+        pts.append(p + R @ self._tool)
+        return np.stack(pts, axis=1)
 
     def fk_point(self, q, local=(0.0, 0.0, 0.0)):
-        pts, R = self.fk_frames(q)
+        pts, R, _ = self.fk_frames(q)
         return pts[-1] + R @ np.asarray(local, dtype=float)
 
     def fk_tool_axis(self, q, local_axis=(0.0, 0.0, 1.0)):
-        _, R = self.fk_frames(q)
+        _, R, _ = self.fk_frames(q)
         return R @ np.asarray(local_axis, dtype=float)
 
 
@@ -109,19 +160,23 @@ class MultiRobotSystem:
     offsets: tuple = field(init=False, default=None)
 
     def __post_init__(self):
-        offs, total = [], 0
+        offs, tool_rows, total, rows = [], [], 0, 0
         for c in self.chains:
             offs.append(total)
             total += c.dof
+            tool_rows.append(rows + c.dof + 1)
+            rows += 2 * c.dof + 3  # dof + 2 frames, then dof + 1 link midpoints
         object.__setattr__(self, "offsets", tuple(offs))
         object.__setattr__(self, "dof", total)
+        # row of each chain's tool point in the output of body_points
+        object.__setattr__(self, "tool_rows", tuple(tool_rows))
 
     def chain_config(self, q, chain):
         q = np.asarray(q, dtype=float)
         if not 0 <= chain < len(self.chains):
             raise IndexError(f"chain index {chain} out of range")
         lo = self.offsets[chain]
-        return q[lo:lo + self.chains[chain].dof]
+        return q[..., lo:lo + self.chains[chain].dof]
 
     def joint_limits(self):
         return np.vstack([c.joint_limits() for c in self.chains])
@@ -131,18 +186,41 @@ class MultiRobotSystem:
         return bool(np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1]))
 
     def body_points(self, q):
-        """Collision sample points: every joint frame plus link midpoints."""
+        """Collision sample points: every joint frame plus link midpoints.
+
+        For one configuration q (k,) the shape is (P, 3); for a batch q
+        (n, k) it is (n, P, 3), computed by one batched FK pass per chain.
+        Per chain the rows are its dof + 2 frames (base, joints, tool; the
+        tool at ``tool_rows[chain]``) followed by its dof + 1 link midpoints.
+        """
+        q = np.asarray(q, dtype=float)
+        Q = np.atleast_2d(q)
         pts = []
         for i, chain in enumerate(self.chains):
-            frames, _ = chain.fk_frames(self.chain_config(q, i))
+            frames = chain.fk_frames_batch(self.chain_config(Q, i))
             pts.append(frames)
-            pts.append(0.5 * (frames[:-1] + frames[1:]))
-        return np.vstack(pts)
+            pts.append(0.5 * (frames[:, :-1] + frames[:, 1:]))
+        out = np.concatenate(pts, axis=1)
+        return out[0] if q.ndim == 1 else out
 
 
 def fk_position(sys, chain, point, q):
     """World position of a point given in the tool frame of one chain."""
     return sys.chains[chain].fk_point(sys.chain_config(q, chain), point)
+
+
+def _tool_jacobian(sys, chain, q):
+    """Geometric Jacobian of one chain's tool point, in that chain's columns of a (3, sys.dof) array.
+
+    Revolute column w_j x (p_tool - o_j), prismatic column w_j, from one FK pass.
+    """
+    c = sys.chains[chain]
+    frames, _, axes = c.fk_frames(sys.chain_config(q, chain))
+    J = np.zeros((3, sys.dof))
+    lo = sys.offsets[chain]
+    w = axes.T
+    J[:, lo:lo + c.dof] = np.where(c._revolute, _cross(w, (frames[-1] - frames[1:-1]).T), w)
+    return J
 
 
 def pick_constraint(sys, chain, x_g, name=None):
@@ -154,7 +232,10 @@ def pick_constraint(sys, chain, x_g, name=None):
     def h(q):
         return x_g - fk_position(sys, chain, (0.0, 0.0, 0.0), q)
 
-    return FunctionManifold(sys.dof, 3, h, name=name)
+    def jac(q):
+        return -_tool_jacobian(sys, chain, q)
+
+    return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
 
 
 def handover_constraint(sys, chain1, chain2, name=None):
@@ -165,7 +246,10 @@ def handover_constraint(sys, chain1, chain2, name=None):
     def h(q):
         return fk_position(sys, chain1, (0.0, 0.0, 0.0), q) - fk_position(sys, chain2, (0.0, 0.0, 0.0), q)
 
-    return FunctionManifold(sys.dof, 3, h, name=name)
+    def jac(q):
+        return _tool_jacobian(sys, chain1, q) - _tool_jacobian(sys, chain2, q)
+
+    return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
 
 
 def orientation_constraint(sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
@@ -173,9 +257,19 @@ def orientation_constraint(sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
     e_z = np.asarray(e_z, dtype=float)
     if name is None:
         name = f"upright[{chain}]"
+    c = sys.chains[chain]
+    lo = sys.offsets[chain]
 
     def h(q):
-        axis = sys.chains[chain].fk_tool_axis(sys.chain_config(q, chain))
+        axis = c.fk_tool_axis(sys.chain_config(q, chain))
         return np.array([axis @ e_z - 1.0])
 
-    return FunctionManifold(sys.dof, 1, h, name=name)
+    def jac(q):
+        # d(R e_z')/dq_j = w_j x (R e_z') for a revolute joint, and
+        # (w_j x a) . e_z = w_j . (a x e_z); a prismatic joint does not rotate
+        _, R, axes = c.fk_frames(sys.chain_config(q, chain))
+        J = np.zeros((1, sys.dof))
+        J[0, lo:lo + c.dof] = np.where(c._revolute, axes @ _cross(R[:, 2], e_z), 0.0)
+        return J
+
+    return FunctionManifold(sys.dof, 1, h, jac_fn=jac, name=name)

@@ -7,6 +7,7 @@ fixed (task, params, seed).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +32,14 @@ class PlannerParams:
     max_project_iters: int = 200
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "eps", "rho", "r", "gamma_rrt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.r <= 0:
+            raise ValueError("r must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.rho < 0:
@@ -83,6 +92,7 @@ class Tree:
         self.parent = []
         self.cost = []
         self.synthetic = []
+        self._synthetic_ids = []  # kept by add() so queries need not scan ``synthetic``
         self.children = []
         self.phase = []  # manifold index a node lives on
         self.on = []     # tuple of manifold indices the node satisfies
@@ -107,6 +117,8 @@ class Tree:
         self.parent.append(parent)
         self.cost.append(cost)
         self.synthetic.append(synthetic)
+        if synthetic:
+            self._synthetic_ids.append(i)
         self.children.append([])
         self.phase.append(phase)
         self.on.append(tuple(on))
@@ -115,14 +127,13 @@ class Tree:
         return i
 
     def real_count(self):
-        return len(self.parent) - sum(self.synthetic)
+        return len(self.parent) - len(self._synthetic_ids)
 
     def _distances(self, q):
         d = self.configs - np.asarray(q)
         dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        if any(self.synthetic):
-            dist = dist.copy()
-            dist[np.asarray(self.synthetic)] = np.inf
+        if self._synthetic_ids:
+            dist[self._synthetic_ids] = np.inf
         return dist
 
     def nearest(self, q):

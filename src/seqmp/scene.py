@@ -85,7 +85,7 @@ class TransitionRule:
     effect: dict
 
 
-def _attachment_center(fs, record, q_end, system):
+def _attachment_center(record, q_end, system):
     anchor = kin.fk_position(system, record.body, (0.0, 0.0, 0.0), q_end)
     return anchor + np.asarray(record.offset)
 
@@ -104,7 +104,7 @@ def apply_transition(fs, rule, q_end, system=None):
         for rec in fs.attachments:
             if rec.object_id == obj:
                 # re-attach from another body, preserving the object's world pose
-                center = _attachment_center(fs, rec, q_end, system)
+                center = _attachment_center(rec, q_end, system)
                 new_rec = AttachmentRecord(obj, body, tuple(center - anchor), rec.half_extents)
                 rest = tuple(a for a in fs.attachments if a.object_id != obj)
                 return replace(fs, attachments=rest + (new_rec,))
@@ -118,7 +118,7 @@ def apply_transition(fs, rule, q_end, system=None):
         obj = effect["object"]
         for rec in fs.attachments:
             if rec.object_id == obj:
-                center = _attachment_center(fs, rec, np.asarray(q_end, dtype=float), system)
+                center = _attachment_center(rec, np.asarray(q_end, dtype=float), system)
                 half = np.asarray(rec.half_extents)
                 box = ObstacleAABB(tuple(center - half), tuple(center + half), name=obj)
                 rest = tuple(a for a in fs.attachments if a.object_id != obj)
@@ -128,16 +128,20 @@ def apply_transition(fs, rule, q_end, system=None):
 
 
 def collision_points(q, fs, system=None):
-    """Workspace points checked against obstacles for configuration ``q``.
+    """Workspace points checked against obstacles for a configuration ``q`` (k,)
+    or a batch of configurations (n, k), stacked into one (P, d) array.
 
     Point tasks check the configuration itself; kinematic tasks check all
-    chain joint frames, link midpoints, and attached-object centers.
+    chain joint frames, link midpoints, and attached-object centers. Each
+    center is its body's tool point, taken from the same FK pass, plus the
+    stored offset.
     """
     if system is None:
         return np.atleast_2d(q)
-    pts = [system.body_points(q)]
+    body = system.body_points(q)
+    pts = [body.reshape(-1, 3)]
     for rec in fs.attachments:
-        pts.append(_attachment_center(fs, rec, q, system)[None, :])
+        pts.append((body[..., system.tool_rows[rec.body], :] + np.asarray(rec.offset)).reshape(-1, 3))
     return np.vstack(pts)
 
 
@@ -167,13 +171,8 @@ def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None)
     dist = float(np.linalg.norm(qb - qa))
     n = max(1, int(np.ceil(dist / step)))
     ts = np.linspace(0.0, 1.0, n + 1)
-    if system is None:
-        pts = qa[None, :] + ts[:, None] * (qb - qa)[None, :]
-        return point_free(pts, fs)
-    for t in ts:
-        if not point_free(collision_points(qa + t * (qb - qa), fs, system), fs):
-            return False
-    return True
+    qs = qa[None, :] + ts[:, None] * (qb - qa)[None, :]
+    return point_free(collision_points(qs, fs, system), fs)
 
 
 @dataclass(frozen=True)
@@ -445,9 +444,6 @@ def _manifold_to_dict(m):
         return {"type": "goal_point", "params": {"target": list(m.target)}}
     if isinstance(m, AffinePlane):
         return {"type": "plane", "params": {"A": m.A.tolist(), "b": m.b.tolist()}}
-    meta = getattr(m, "_scene_meta", None)
-    if meta is not None:
-        return meta
     raise ValueError(f"manifold {m.name!r} has no scene-file representation")
 
 
@@ -514,6 +510,13 @@ def _manifold_from_dict(d, system):
         return PointGoal(p["target"])
     if t == "plane":
         return AffinePlane(p["A"], p["b"])
+    if t in ("pick", "handover", "orientation"):
+        if system is None:
+            raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
+        for key in ("chain", "chain1", "chain2"):
+            if key in p and not (isinstance(p[key], int) and 0 <= p[key] < len(system.chains)):
+                raise ValueError(f"{t} manifold {d.get('name', t)!r}: {key} {p[key]!r} is not a chain index "
+                                 f"of the {len(system.chains)}-chain system")
     if t == "pick":
         m = kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
     elif t == "handover":
@@ -527,6 +530,16 @@ def _manifold_from_dict(d, system):
 
 
 def task_from_dict(d):
+    """Build a Task from the scene description schema.
+
+    Raises ValueError naming the problem when a required key is missing or a
+    kinematic manifold has no system to act on.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("a scene description must be a JSON object")
+    missing = [key for key in ("manifolds", "start", "bounds") if key not in d]
+    if missing:
+        raise ValueError(f"scene description lacks required key(s): {', '.join(missing)}")
     system = _system_from_dict(d["system"]) if "system" in d else None
     manifolds = tuple(_manifold_from_dict(md, system) for md in d["manifolds"])
     obstacles = tuple(

@@ -187,3 +187,41 @@ class TestCli:
         rc = main(["plan", "--scene", str(f), "--planner", "psm", "--seed", "0",
                    "--params", self._params_file(tmp_path, m=300)])
         assert rc == 0
+
+
+def _bad_scene_files():
+    from seqmp.scene import build_benchmark_scene, task_to_dict
+
+    point = task_to_dict(build_benchmark_scene("point3d_free"))
+    robot = task_to_dict(build_benchmark_scene("transport_a_mini"))
+    out = {}
+    for key in ("manifolds", "start", "bounds"):
+        d = dict(point)
+        del d[key]
+        out[f"missing_{key}"] = d
+    for kind, params in (("pick", {"chain": 0, "target": [0.3, 0.0, 0.3]}),
+                         ("handover", {"chain1": 0, "chain2": 1}),
+                         ("orientation", {"chain": 0})):
+        d = {k: v for k, v in robot.items() if k != "system"}
+        d["manifolds"] = [{"type": kind, "name": kind, "params": params}] + robot["manifolds"][1:]
+        out[f"{kind}_without_system"] = d
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_bad_scene_files()))
+def test_plan_on_malformed_scene_exits_2_with_message(case, tmp_path, capsys):
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(_bad_scene_files()[case]))
+    rc = main(["plan", "--scene", str(f), "--planner", "psm"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0}])
+def test_plan_with_bad_params_exits_2(override, tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps(override))
+    rc = main(["plan", "--scene", "point3d_free", "--planner", "psm", "--params", str(f)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,9 +1,12 @@
 """Forward kinematics and the pick/handover/orientation constraint constructors."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmp import kinematics as kin
-from seqmp.manifolds import evaluate, project
+from seqmp.manifolds import evaluate, fd_jacobian, project
+from seqmp.scene import _transport_a_system, _transport_b_system
 
 RNG = np.random.default_rng(7)
 
@@ -206,3 +209,56 @@ def test_fk_smoothness_smoke():
             kin.fk_position(sys, 0, (0, 0, 0), q + dq) - kin.fk_position(sys, 0, (0, 0, 0), q)
         )
         assert move <= 5.0 * delta  # total link length bounds the FK Lipschitz constant
+
+
+def _kinematic_constraints(sys):
+    """Every pick, orientation and handover constraint a system supports."""
+    n = len(sys.chains)
+    out = [kin.pick_constraint(sys, c, (0.3, -0.2, 0.4)) for c in range(n)]
+    out += [kin.orientation_constraint(sys, c) for c in range(n)]
+    out += [kin.orientation_constraint(sys, c, e_z=(0.6, 0.0, 0.8)) for c in range(n)]
+    out += [kin.handover_constraint(sys, a, b) for a in range(n) for b in range(n) if a != b]
+    return out
+
+
+@pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_analytic_jacobians_match_finite_differences(system, data):
+    # transport_b has prismatic joints (the mobile tray) and handovers between chains
+    sys = system()
+    q = np.array(data.draw(st.lists(st.floats(-2.5, 2.5), min_size=sys.dof, max_size=sys.dof)))
+    for m in _kinematic_constraints(sys):
+        J = m.jacobian(q)
+        assert J.shape == (m.codim, sys.dof)
+        assert J == pytest.approx(fd_jacobian(m, q, 1e-6), abs=1e-6), m.name
+
+
+class TestBodyPoints:
+    @pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
+    def test_batch_equals_stacked_single_configurations(self, system):
+        # reference: the scalar fk_frames positions of each configuration plus link midpoints
+        sys = system()
+        Q = RNG.uniform(-2.0, 2.0, size=(9, sys.dof))
+        stacked = []
+        for q in Q:
+            rows = []
+            for c, chain in enumerate(sys.chains):
+                frames = chain.fk_frames(sys.chain_config(q, c))[0]
+                rows += [frames, 0.5 * (frames[:-1] + frames[1:])]
+            stacked.append(np.vstack(rows))
+        stacked = np.stack(stacked)
+        batch = sys.body_points(Q)
+        assert batch.shape == stacked.shape
+        assert np.allclose(batch, stacked, rtol=0.0, atol=1e-12)
+        single = np.stack([sys.body_points(q) for q in Q])
+        assert single.shape == stacked.shape
+        assert np.allclose(single, stacked, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
+    def test_tool_rows_hold_the_tool_points(self, system):
+        sys = system()
+        for q in RNG.uniform(-2.0, 2.0, size=(5, sys.dof)):
+            pts = sys.body_points(q)
+            for c in range(len(sys.chains)):
+                assert pts[sys.tool_rows[c]] == pytest.approx(kin.fk_position(sys, c, (0, 0, 0), q), abs=1e-12)

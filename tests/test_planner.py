@@ -1,6 +1,8 @@
 """Tree machinery, the four planners, and path extraction/validation."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqmp.manifolds import AffinePlane, PointGoal, Sphere, evaluate
 from seqmp.planner import (
@@ -93,6 +95,23 @@ class TestTreeQueries:
         t.add(np.array([3.0, 3.0]), parent=0, cost=0.0)
         assert nearest(t, np.array([0.0, 0.0])) == 1
         assert near(t, np.array([0.0, 0.0]), 100.0) == [1]
+
+    def test_several_synthetic_roots_excluded(self):
+        t = Tree(2)
+        pts = RNG.uniform(-3, 3, size=(40, 2))
+        synthetic = set()
+        for i, p in enumerate(pts):
+            is_synth = i % 7 == 0
+            t.add(None if is_synth else p, parent=-1, cost=0.0, synthetic=is_synth)
+            if is_synth:
+                synthetic.add(i)
+        assert t.real_count() == len(pts) - len(synthetic)
+        real = [i for i in range(len(pts)) if i not in synthetic]
+        for _ in range(20):
+            q = RNG.uniform(-3, 3, 2)
+            dists = np.linalg.norm(pts[real] - q, axis=1)
+            assert nearest(t, q) == real[int(np.argmin(dists))]
+            assert near(t, q, 2.0) == [real[j] for j in np.nonzero(dists <= 2.0)[0]]
 
     def test_empty_tree_raises(self):
         with pytest.raises(ValueError):
@@ -301,3 +320,27 @@ class TestThetaTaskComparisons:
                 pass
         assert len(ik_costs) >= 3
         assert np.mean(ik_costs) >= np.mean(psm_costs)
+
+
+class TestPlannerParamsValidation:
+    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r", "gamma_rrt"]),
+           value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PlannerParams(**{name: value})
+
+    @given(name=st.sampled_from(["alpha", "r", "eps", "gamma_rrt"]),
+           value=st.floats(max_value=0.0, allow_nan=False))
+    def test_rejects_non_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PlannerParams(**{name: value})
+
+    @given(value=st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+    def test_rejects_negative_rho(self, value):
+        with pytest.raises(ValueError, match="rho"):
+            PlannerParams(rho=value)
+
+    @given(alpha=st.floats(1e-6, 1e6), r=st.floats(1e-6, 1e6), rho=st.floats(0.0, 1e6))
+    def test_accepts_finite_in_range(self, alpha, r, rho):
+        p = PlannerParams(alpha=alpha, r=r, rho=rho)
+        assert (p.alpha, p.r, p.rho) == (alpha, r, rho)

@@ -79,6 +79,50 @@ class TestCollisionFreeSegment:
             collision_free_segment((0, 0, 0), (1, 0, 0), FreeSpaceState(), step=0.0)
 
 
+class TestKinematicSegmentCheck:
+    @staticmethod
+    def _reference(qa, qb, fs, system, step):
+        """Per-point loop: scalar FK of each interpolation point, attachments from fk_position."""
+        n = max(1, int(np.ceil(np.linalg.norm(qb - qa) / step)))
+        for t in np.linspace(0.0, 1.0, n + 1):
+            q = qa + t * (qb - qa)
+            pts = []
+            for c, chain in enumerate(system.chains):
+                frames = chain.fk_frames(system.chain_config(q, c))[0]
+                pts += [frames, 0.5 * (frames[:-1] + frames[1:])]
+            for rec in fs.attachments:
+                pts.append(kin.fk_position(system, rec.body, (0, 0, 0), q) + np.asarray(rec.offset))
+            pts = np.vstack(pts)
+            if any(np.any(ob.contains(pts)) for ob in fs.obstacles):
+                return False
+        return True
+
+    @pytest.mark.parametrize("name", ["transport_a_mini", "transport_b_mini"])
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_matches_per_point_reference(self, name, attached):
+        task = build_benchmark_scene(name)
+        fs = task.free_space
+        if attached:
+            fs = apply_transition(fs, task.transitions[0], task.start(), task.system)
+            # a box around the carried object's centre at the start, clear of every body point
+            rec = fs.attachments[0]
+            center = kin.fk_position(task.system, rec.body, (0, 0, 0), task.start()) + np.asarray(rec.offset)
+            box = ObstacleAABB(tuple(center - 0.03), tuple(center + 0.03), name="probe")
+            fs = FreeSpaceState(obstacles=fs.obstacles + (box,), attachments=fs.attachments)
+            q0 = task.start()
+            assert not collision_free_segment(q0, q0, fs, system=task.system)
+            assert collision_free_segment(q0, q0, FreeSpaceState(obstacles=fs.obstacles), system=task.system)
+        lim = task.bounds_array()
+        verdicts = []
+        for _ in range(60):
+            qa = task.start() + RNG.uniform(-0.6, 0.6, task.ambient_dim)
+            qb = np.clip(qa + RNG.uniform(-0.8, 0.8, task.ambient_dim), lim[:, 0], lim[:, 1])
+            got = collision_free_segment(qa, qb, fs, task.collision_step, system=task.system)
+            assert got == self._reference(qa, qb, fs, task.system, task.collision_step)
+            verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestApplyTransition:
     def _setup(self):
         task = build_benchmark_scene("transport_a_mini")
@@ -173,6 +217,27 @@ class TestSceneJson:
                 assert evaluate(m_b, q) == pytest.approx(evaluate(m_a, q), abs=1e-12)
         assert len(clone.free_space.obstacles) == len(task.free_space.obstacles)
         assert len(clone.transitions) == len(task.transitions)
+
+    @pytest.mark.parametrize("key", ["manifolds", "start", "bounds"])
+    def test_missing_required_key_is_named(self, key):
+        d = task_to_dict(build_benchmark_scene("point3d_free"))
+        del d[key]
+        with pytest.raises(ValueError, match=key):
+            task_from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["pick", "handover", "orientation"])
+    def test_kinematic_manifold_without_system(self, kind):
+        d = task_to_dict(build_benchmark_scene("transport_b_mini"))
+        del d["system"]
+        d["manifolds"] = [m for m in d["manifolds"] if m["type"] == kind]
+        with pytest.raises(ValueError, match="system"):
+            task_from_dict(d)
+
+    def test_chain_index_out_of_range(self):
+        d = task_to_dict(build_benchmark_scene("transport_a_mini"))
+        d["manifolds"][0]["params"]["chain"] = 3
+        with pytest.raises(ValueError, match="chain"):
+            task_from_dict(d)
 
     def test_schema_keys(self):
         d = task_to_dict(build_benchmark_scene("point3d_obstacles"))
