@@ -5,8 +5,10 @@ origin offset. A MultiRobotSystem stacks several chains into one
 configuration vector. Constraint Jacobians are analytic: the geometric
 Jacobian built from the joint positions and world joint axes of a single
 forward-kinematics pass (Siciliano et al., Robotics: Modelling, Planning and
-Control, ch. 3). Collision sample points of a batch of configurations come
-from one batched pass over all of them.
+Control, ch. 3). Each chain memoises its last FK pass, so the value and the
+Jacobian of a constraint at one configuration share it. Collision sample
+points of a batch of configurations come from one batched pass over all of
+them.
 """
 from __future__ import annotations
 
@@ -87,6 +89,9 @@ class SerialChain:
         object.__setattr__(self, "_origins", [np.asarray(j.origin, dtype=float) for j in self.joints])
         object.__setattr__(self, "_axes", [np.asarray(j.axis, dtype=float) for j in self.joints])
         object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
+        # (configuration bytes, fk_frames result) of the last fk_frames call; one
+        # tuple replaced whole, so a reader never sees half of an update
+        object.__setattr__(self, "_fk_memo", (None, None))
 
     @property
     def dof(self):
@@ -104,8 +109,16 @@ class SerialChain:
         the orientation of the tool frame, and axes (dof, 3) holds each
         joint's world axis w_j = R_{j-1} axis_j, the rotation or sliding
         direction the geometric Jacobian needs.
+
+        The last configuration's result is memoised, so evaluating a
+        constraint and its Jacobian at one q runs FK once. The returned
+        arrays are that memo and are read-only.
         """
         q = np.asarray(q, dtype=float)
+        key = q.tobytes()
+        memo_key, memo = self._fk_memo
+        if key == memo_key:
+            return memo
         p = self._base
         R = np.eye(3)
         pts = [p]
@@ -120,7 +133,11 @@ class SerialChain:
             pts.append(p)
         p = p + R @ self._tool
         pts.append(p)
-        return np.array(pts), R, np.array(axes).reshape(self.dof, 3)
+        out = (np.array(pts), R, np.array(axes).reshape(self.dof, 3))
+        for a in out:
+            a.flags.writeable = False
+        object.__setattr__(self, "_fk_memo", (key, out))
+        return out
 
     def fk_frames_batch(self, Q):
         """Frame positions for a batch of configurations Q (n, dof), shape (n, dof + 2, 3).

@@ -8,6 +8,7 @@ fixed (task, params, seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,8 +35,16 @@ class PlannerParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "eps", "rho", "r", "gamma_rrt"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "gamma_rrt":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("m", "seed", "max_project_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.r <= 0:
@@ -193,6 +202,12 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     optionally restricts which node pairs may be connected (single-tree
     variant). Returns the new node id, or None when the initial segment
     collides.
+
+    The parent search checks collisions lazily, as OMPL's RRTstar does: the
+    neighbours that would beat ``near_id`` are tried in order of (cost
+    through them, id), and the first free one is the parent: the cheapest
+    free neighbour, lowest id on ties, found with no more segment checks than
+    checking every improving neighbour in id order.
     """
     q_new = np.asarray(q_new, dtype=float)
     if not segment_free(near_id, q_new):
@@ -203,12 +218,17 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
         neighbors = [i for i in neighbors if edge_ok(i, on)]
     q_min = near_id
     c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
+    candidates = []
     for i in neighbors:
         if i == near_id:
             continue
         c = tree.cost[i] + float(np.linalg.norm(q_new - tree.config(i)))
-        if c < c_min and segment_free(i, q_new):
+        if c < c_min:
+            candidates.append((c, i))
+    for c, i in sorted(candidates):
+        if segment_free(i, q_new):
             q_min, c_min = i, c
+            break
     new_id = tree.add(q_new, parent=q_min, cost=c_min, phase=phase, on=on)
     for i in neighbors:
         if i == q_min:

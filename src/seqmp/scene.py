@@ -501,30 +501,33 @@ def task_to_dict(task):
 
 
 def _manifold_from_dict(d, system):
-    t, p = d["type"], d.get("params", {})
-    if t == "paraboloid":
-        return Paraboloid(p["coeff"], p["offset"])
-    if t == "cylinder":
-        return Cylinder(p["coeff"], p["rhs"])
-    if t == "goal_point":
-        return PointGoal(p["target"])
-    if t == "plane":
-        return AffinePlane(p["A"], p["b"])
-    if t in ("pick", "handover", "orientation"):
-        if system is None:
-            raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
-        for key in ("chain", "chain1", "chain2"):
-            if key in p and not (isinstance(p[key], int) and 0 <= p[key] < len(system.chains)):
-                raise ValueError(f"{t} manifold {d.get('name', t)!r}: {key} {p[key]!r} is not a chain index "
-                                 f"of the {len(system.chains)}-chain system")
-    if t == "pick":
-        m = kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
-    elif t == "handover":
-        m = kin.handover_constraint(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
-    elif t == "orientation":
-        m = kin.orientation_constraint(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)), name=d.get("name", "orientation"))
-    else:
-        raise ValueError(f"unknown manifold type {t!r}")
+    t, p = d.get("type"), d.get("params", {})
+    try:
+        if t == "paraboloid":
+            return Paraboloid(p["coeff"], p["offset"])
+        if t == "cylinder":
+            return Cylinder(p["coeff"], p["rhs"])
+        if t == "goal_point":
+            return PointGoal(p["target"])
+        if t == "plane":
+            return AffinePlane(p["A"], p["b"])
+        if t in ("pick", "handover", "orientation"):
+            if system is None:
+                raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
+            for key in ("chain", "chain1", "chain2"):
+                if key in p and not (isinstance(p[key], int) and 0 <= p[key] < len(system.chains)):
+                    raise ValueError(f"{t} manifold {d.get('name', t)!r}: {key} {p[key]!r} is not a chain index "
+                                     f"of the {len(system.chains)}-chain system")
+        if t == "pick":
+            m = kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
+        elif t == "handover":
+            m = kin.handover_constraint(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
+        elif t == "orientation":
+            m = kin.orientation_constraint(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)), name=d.get("name", "orientation"))
+        else:
+            raise ValueError(f"unknown manifold type {t!r}")
+    except KeyError as e:
+        raise ValueError(f"{t} manifold {d.get('name', t)!r} lacks params key {e.args[0]!r}") from None
     m.scene_spec = d
     return m
 
@@ -532,8 +535,9 @@ def _manifold_from_dict(d, system):
 def task_from_dict(d):
     """Build a Task from the scene description schema.
 
-    Raises ValueError naming the problem when a required key is missing or a
-    kinematic manifold has no system to act on.
+    Raises ValueError naming the problem when a required key (manifold
+    params included) is missing or a kinematic manifold has no system to act
+    on.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")

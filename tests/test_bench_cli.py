@@ -1,8 +1,15 @@
 """Benchmark harness, result/path files, and the command-line interface."""
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmp import bench
 from seqmp.cli import main
@@ -218,10 +225,43 @@ def test_plan_on_malformed_scene_exits_2_with_message(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0}])
+@pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0},
+                                      {"alpha": "x"}, {"m": True}])
 def test_plan_with_bad_params_exits_2(override, tmp_path, capsys):
     f = tmp_path / "params.json"
     f.write_text(json.dumps(override))
     rc = main(["plan", "--scene", "point3d_free", "--planner", "psm", "--params", str(f)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@functools.lru_cache(maxsize=None)
+def _exported_scenes():
+    from seqmp.scene import export_scene_json
+
+    return {name: export_scene_json(name) for name in available_scenes()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_missing_manifold_param_is_named_and_plan_exits_2(data):
+    # every params key a built-in scene exports is required; drop any one of them
+    from seqmp.scene import task_from_dict
+
+    text = _exported_scenes()[data.draw(st.sampled_from(sorted(_exported_scenes())))]
+    d = json.loads(text)
+    md = data.draw(st.sampled_from(d["manifolds"]))
+    key = data.draw(st.sampled_from(sorted(md["params"])))
+    del md["params"][key]
+    with pytest.raises(ValueError, match=key) as err:
+        task_from_dict(d)
+    assert repr(md.get("name", md["type"])) in str(err.value)
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "scene.json")
+        with open(f, "w") as fh:
+            json.dump(d, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main(["plan", "--scene", f, "--planner", "psm"])
+    assert rc == 2
+    assert stderr.getvalue().startswith("error: ") and key in stderr.getvalue()

@@ -262,3 +262,47 @@ class TestBodyPoints:
             pts = sys.body_points(q)
             for c in range(len(sys.chains)):
                 assert pts[sys.tool_rows[c]] == pytest.approx(kin.fk_position(sys, c, (0, 0, 0), q), abs=1e-12)
+
+
+def _memo_chains():
+    """Chains of equal dof with different geometry: one configuration fits them all."""
+    mobile = _transport_b_system().chains[2]  # two prismatic joints
+    return (planar_two_link(), planar_two_link(base=(0.5, -1.0, 0.25)), mobile)
+
+
+def _fresh_copy(chain):
+    return kin.SerialChain(chain.joints, chain.base, chain.tool, chain.limits)
+
+
+class TestFkMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_results_equal_a_memo_free_computation(self, data):
+        chains = _memo_chains()
+        coord = st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(-3.0, 3.0)
+        configs = data.draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=4))
+        calls = data.draw(st.lists(st.tuples(st.integers(0, len(chains) - 1),
+                                             st.integers(0, len(configs) - 1)), min_size=1, max_size=12))
+        q = np.empty(2)  # one buffer written in place: the memo must key on values, not identity
+        for c, k in calls:
+            chain = chains[c]
+            q[:] = configs[k]
+            got = chain.fk_frames(q)
+            want = _fresh_copy(chain).fk_frames(q.copy())
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert not a.flags.writeable
+            assert np.allclose(got[0], chain.fk_frames_batch(q[None])[0], rtol=0.0, atol=1e-12)
+            assert got[0][-1] == pytest.approx(_oracle_fk(chain, q), abs=1e-12)
+
+    def test_memoised_chain_pickles_and_compares_equal(self):
+        import pickle
+
+        chain = planar_two_link()
+        q = np.array([0.3, -0.2])
+        chain.fk_frames(q)
+        clone = pickle.loads(pickle.dumps(chain))
+        assert clone == chain == planar_two_link()
+        assert hash(chain) == hash(planar_two_link())
+        assert np.array_equal(clone.fk_frames(q)[0], chain.fk_frames(q)[0])
+        assert np.array_equal(clone.fk_frames(-q)[0], planar_two_link().fk_frames(-q)[0])

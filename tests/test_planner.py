@@ -1,7 +1,7 @@
 """Tree machinery, the four planners, and path extraction/validation."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqmp.manifolds import AffinePlane, PointGoal, Sphere, evaluate
@@ -177,6 +177,67 @@ class TestRrtStarExtend:
             min(10.0 * (np.log(100) / 100) ** (1 / 3), 1.0))
 
 
+def _old_parent_search(tree, near_id, q_new, neighbors, free):
+    """The eager parent search: check every neighbour that beats the running minimum, in id order.
+
+    Returns (parent, number of segment checks).
+    """
+    q_min = near_id
+    c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
+    checks = 0
+    for i in neighbors:
+        if i == near_id:
+            continue
+        c = tree.cost[i] + float(np.linalg.norm(q_new - tree.config(i)))
+        if c < c_min:
+            checks += 1
+            if free[i]:
+                q_min, c_min = i, c
+    return q_min, checks
+
+
+class TestDelayedParentCheck:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_cheapest_free_parent_with_no_more_checks(self, data):
+        # grid coordinates make equal costs through different neighbours likely
+        point = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: 0.5 * np.array(p, dtype=float))
+        n = data.draw(st.integers(1, 25))
+        tree = Tree(2)
+        tree.add(data.draw(point), parent=-1, cost=0.0)
+        for k in range(1, n):
+            q, parent = data.draw(point), data.draw(st.integers(0, k - 1))
+            tree.add(q, parent=parent, cost=tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent))))
+        near_id = data.draw(st.integers(0, n - 1))
+        q_new = data.draw(point)
+        free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        free[near_id] = True
+        params = PlannerParams(alpha=2.0)
+        gamma = 100.0
+        neighbors = tree.near(q_new, rewiring_radius(gamma, tree.real_count(), 2, params.alpha))
+        parent_checks = []
+
+        def segment_free(i, q):
+            if len(tree) == n:  # the new node is not in yet: parent search
+                parent_checks.append(i)
+            return free[i]
+
+        # brute force, before rewiring changes any cost
+        cost_via = {i: tree.cost[i] + float(np.linalg.norm(q_new - tree.config(i)))
+                    for i in set(neighbors) | {near_id}}
+        c_best = min(c for i, c in cost_via.items() if free[i])
+        # near_id wins a tie; otherwise the lowest id among the cheapest free neighbours
+        want = near_id if cost_via[near_id] == c_best else min(
+            i for i, c in cost_via.items() if free[i] and c == c_best)
+        old_parent, old_checks = _old_parent_search(tree, near_id, q_new, neighbors, free)
+        assert old_parent == want
+
+        new_id = rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma)
+        assert tree.parent[new_id] == want
+        assert tree.cost[new_id] == c_best
+        assert len(parent_checks) - 1 <= old_checks  # the first check is near_id's
+
+
 class TestDegenerateTasks:
     def test_line_point_converges_to_two(self):
         path = psm_star(line_point_task(), SMALL)
@@ -339,6 +400,18 @@ class TestPlannerParamsValidation:
     def test_rejects_negative_rho(self, value):
         with pytest.raises(ValueError, match="rho"):
             PlannerParams(rho=value)
+
+    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r", "gamma_rrt"]),
+           value=st.text() | st.booleans() | st.lists(st.floats(), max_size=2) | st.complex_numbers())
+    def test_rejects_non_real(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PlannerParams(**{name: value})
+
+    @given(name=st.sampled_from(["m", "seed", "max_project_iters"]),
+           value=st.text() | st.booleans() | st.floats() | st.none())
+    def test_rejects_non_integer(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PlannerParams(**{name: value})
 
     @given(alpha=st.floats(1e-6, 1e6), r=st.floats(1e-6, 1e6), rho=st.floats(0.0, 1e6))
     def test_accepts_finite_in_range(self, alpha, r, rho):
