@@ -8,16 +8,14 @@ import argparse
 import os
 
 from seqmp import bench
-
-SCENES = ["point3d_free", "point3d_obstacles", "plane_cylinder_point",
-          "transport_a_mini", "transport_b_mini"]
-PLANNERS = ["psm", "psm-greedy", "psm-single", "rrtstar-ik"]
+from seqmp.planner import PLANNERS
+from seqmp.scene import available_scenes
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scenes", nargs="*", default=SCENES)
-    ap.add_argument("--planners", nargs="*", default=PLANNERS)
+    ap.add_argument("--scenes", nargs="*", default=available_scenes())
+    ap.add_argument("--planners", nargs="*", default=sorted(PLANNERS))
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--m", type=int, default=None, help="override samples per manifold")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .planner import PLANNERS, PlannerParams, PlanningFailure, SolutionPath, validate_solution
+from .planner import PLANNERS, PlannerParams, PlanningFailure, SolutionPath, polyline_length, validate_solution
 from .scene import build_benchmark_scene, load_task
 
 # planner parameter defaults per scene profile
@@ -196,8 +196,7 @@ def read_path_csv(file_path):
     segs = [int(r[0]) for r in body]
     configs = np.array([[float(x) for x in r[1:]] for r in body])
     bounds = [i - 1 for i in range(1, len(segs)) if segs[i] > segs[i - 1]]
-    total = float(np.sum(np.linalg.norm(np.diff(configs, axis=0), axis=1)))
-    return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=total)
+    return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))
 
 
 def validate_path_file(file_path, scene, overrides=None):

@@ -1,20 +1,33 @@
 """Planners over a fixed sequence of constraint manifolds.
 
-Contains the subtree-per-manifold planner and its greedy seeding variant,
-the single-tree variant, and a per-segment RRT*+IK baseline. All planners
-share the same steering and rewiring machinery and are deterministic for a
-fixed (task, params, seed).
+The four planners share one core: ``_Run`` holds a run's set-up (start
+check, RNG, sampling bounds, RRT* gamma), ``_Run.extend`` is the one RRT*
+step every tree grows by (nearest -> steer -> in-bounds check -> residual
+<= eps on the nearest node's manifold -> ``rrt_star_extend``), and
+``_stitch`` builds every ``SolutionPath``. A planner is a choice of policies
+on top of that core:
+
+- sampler: uniform, or biased toward a fixed IK goal (``rrtstar-ik``);
+- steer: ``psm_steer``, or one tangent step plus projection (``rrtstar-ik``);
+- node label: each node's phase (manifold index), plus for the single tree
+  the manifolds it lies on, since that tree joins only nodes sharing one;
+- goal and seeding: the intersection nodes kept ``rho`` apart all seed the
+  next subtree (``psm``) or only the cheapest does (``psm-greedy``), the
+  goal-manifold nodes of one tree over the whole sequence (``psm-single``),
+  or the cheapest connection to the IK goal (``rrtstar-ik``).
+
+Every planner is deterministic for a fixed (task, params, seed).
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .manifolds import Intersection, evaluate, project
-from .steering import SteerParams, psm_steer, steer_point
+from .steering import ZERO_DIRECTION_TOL, SteerParams, psm_steer, steer_point
 
 IK_RETRIES = 100
 IK_GOAL_BIAS = 0.1
@@ -85,7 +98,12 @@ class SolutionPath:
         return list(zip(starts, stops))
 
     def polyline_length(self):
-        return float(np.sum(np.linalg.norm(np.diff(self.configs, axis=0), axis=1)))
+        return polyline_length(self.configs)
+
+
+def polyline_length(configs):
+    """Summed Euclidean length of the edges between consecutive configurations."""
+    return float(np.sum(np.linalg.norm(np.diff(configs, axis=0), axis=1)))
 
 
 class Tree:
@@ -178,16 +196,6 @@ class Tree:
         return chain
 
 
-def nearest(tree, q):
-    """Exact Euclidean nearest tree node (synthetic roots excluded)."""
-    return tree.nearest(q)
-
-
-def near(tree, q, radius):
-    """All tree nodes within ``radius`` of q (synthetic roots excluded)."""
-    return tree.near(q, radius)
-
-
 def rewiring_radius(gamma, n_nodes, dim, alpha):
     if n_nodes <= 1:
         return 0.0
@@ -239,64 +247,97 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     return new_id
 
 
-def _check_start(task, params):
-    res = np.linalg.norm(evaluate(task.manifolds[0], task.start()))
-    if res > params.eps:
-        raise ValueError(f"start configuration violates the first constraint (residual {res:.3g})")
-
-
-def _gamma(task, params):
-    return params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
-
-
 def _in_bounds(q, bounds):
     return bool(np.all(q >= bounds[:, 0]) and np.all(q <= bounds[:, 1]))
 
 
-def _psm_run(task, params, greedy, debug=None):
-    _check_start(task, params)
-    rng = np.random.default_rng(params.seed)
-    steer_params = params.steer()
-    bounds = task.bounds_array()
-    gamma = _gamma(task, params)
-    n = task.n_phases
-    dim = task.ambient_dim
+class _Run:
+    """What every planner run starts from: the start check, the RNG, the
+    sampling bounds and the RRT* gamma. ``extend`` is the one RRT* step all
+    planners grow their trees with."""
 
+    def __init__(self, task, params):
+        res = np.linalg.norm(evaluate(task.manifolds[0], task.start()))
+        if res > params.eps:
+            raise ValueError(f"start configuration violates the first constraint (residual {res:.3g})")
+        self.task, self.params = task, params
+        self.rng = np.random.default_rng(params.seed)
+        self.bounds = task.bounds_array()
+        self.gamma = params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
+
+    def uniform(self):
+        return self.rng.uniform(self.bounds[:, 0], self.bounds[:, 1])
+
+    def extend(self, tree, q_rand, steer, segment_free, label=None, edge_ok=None):
+        """Extend ``tree`` toward ``q_rand`` on the manifold of its nearest node.
+
+        ``steer(q_near, q_rand, m_i, m_next)`` proposes ``q_new``; one outside
+        the bounds or off ``m_i`` by more than eps is dropped, the rest goes
+        to ``rrt_star_extend``. ``label(i, q_new)`` gives the new node's
+        ``(phase, on)`` (default ``(i, ())``), and ``segment_free(a_id, q,
+        on)`` checks the segment from node ``a_id`` to it. Returns the new
+        node id or None.
+        """
+        near_id = tree.nearest(q_rand)
+        i = tree.phase[near_id]
+        m_i, m_next = self.task.manifolds[i], self.task.manifolds[i + 1]
+        q_new = steer(tree.config(near_id), q_rand, m_i, m_next)
+        if q_new is None or not _in_bounds(q_new, self.bounds):
+            return None
+        if np.linalg.norm(evaluate(m_i, q_new)) > self.params.eps:
+            return None
+        phase, on = (i, ()) if label is None else label(i, q_new)
+        return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
+                               self.params, self.gamma, phase=phase, on=on, edge_ok=edge_ok)
+
+
+def _psm_steering(run):
+    """Steer policy of the PSM* planners: ``psm_steer`` with the run's RNG."""
+    steer_params, eps, iters = run.params.steer(), run.params.eps, run.params.max_project_iters
+    return lambda q_near, q_rand, m_i, m_next: psm_steer(steer_params, q_near, q_rand, m_i, m_next,
+                                                         run.rng, eps, iters)
+
+
+def _segment_free_in(task, tree, fs):
+    """Segment check of a tree whose edges all lie in the free space ``fs``."""
+    return lambda a_id, q, on: task.segment_free(tree.config(a_id), q, fs)
+
+
+def _stitch(segments):
+    """One SolutionPath from per-manifold vertex lists; each segment after
+    the first starts at the last vertex of the one before, which is kept once."""
+    configs = list(segments[0])
+    bounds = []
+    for seg in segments[1:]:
+        bounds.append(len(configs) - 1)
+        configs.extend(seg[1:])
+    configs = np.array(configs)
+    return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))
+
+
+def _psm_run(task, params, greedy, debug=None):
+    run = _Run(task, params)
+    steer = _psm_steering(run)
+    n = task.n_phases
     fs = task.free_space
-    fs_per_phase = [fs]
     trees = []
     sources = []  # per tree >0: node id -> source node id in previous tree
-
-    tree = Tree(dim)
+    tree = Tree(task.ambient_dim)
     tree.add(task.start(), parent=-1, cost=0.0)
     trace = [] if debug is not None else None
 
-    final_goals = None
     for i in range(n):
-        m_i, m_next = task.manifolds[i], task.manifolds[i + 1]
-        fs_i = fs
-
-        def segment_free(a_id, q):
-            return task.segment_free(tree.config(a_id), q, fs_i)
-
+        m_next = task.manifolds[i + 1]
+        segment_free = _segment_free_in(task, tree, fs)
         V_goal = []
         for _ in range(params.m):
-            q_rand = rng.uniform(bounds[:, 0], bounds[:, 1])
-            near_id = tree.nearest(q_rand)
-            q_new = psm_steer(steer_params, tree.config(near_id), q_rand, m_i, m_next,
-                              rng, params.eps, params.max_project_iters)
-            if q_new is None or not _in_bounds(q_new, bounds):
-                continue
-            if np.linalg.norm(evaluate(m_i, q_new)) > params.eps:
-                continue
-            new_id = rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=i)
+            new_id = run.extend(tree, run.uniform(), steer, segment_free)
             if new_id is None:
                 continue
-            if np.linalg.norm(evaluate(m_next, q_new)) < params.eps:
-                if not V_goal or min(
-                    np.linalg.norm(q_new - tree.config(g)) for g in V_goal
-                ) >= params.rho:
-                    V_goal.append(new_id)
+            q_new = tree.config(new_id)
+            if np.linalg.norm(evaluate(m_next, q_new)) < params.eps and all(
+                    np.linalg.norm(q_new - tree.config(g)) >= params.rho for g in V_goal):
+                V_goal.append(new_id)
             if trace is not None and i == n - 1 and V_goal:
                 trace.append(min(tree.cost[g] for g in V_goal))
         if not V_goal:
@@ -304,54 +345,29 @@ def _psm_run(task, params, greedy, debug=None):
         if debug is not None:
             debug.setdefault("v_goal_per_phase", []).append(list(V_goal))
         fs = task.advance_free_space(fs, i, tree.config(V_goal[0]))
-        fs_per_phase.append(fs)
+        trees.append(tree)
         if i < n - 1:
             seeds = [min(V_goal, key=lambda g: (tree.cost[g], g))] if greedy else V_goal
-            next_tree = Tree(dim)
+            next_tree, src = Tree(task.ambient_dim), {}
             synth = next_tree.add(None, parent=-1, cost=0.0, synthetic=True)
-            src = {}
             for g in seeds:
-                nid = next_tree.add(tree.config(g), parent=synth, cost=tree.cost[g], phase=i + 1)
-                src[nid] = g
-            trees.append(tree)
+                src[next_tree.add(tree.config(g), parent=synth, cost=tree.cost[g], phase=i + 1)] = g
             sources.append(src)
             tree = next_tree
-        else:
-            final_goals = V_goal
-    trees.append(tree)
 
-    best = min(final_goals, key=lambda g: (tree.cost[g], g))
-    path = _extract_path(trees, sources, best)
+    # walk back from the cheapest goal node, tree by tree, through each subtree's seed
+    nid = min(V_goal, key=lambda g: (tree.cost[g], g))
+    segments = []
+    for t in reversed(range(n)):
+        chain = trees[t].path_to_subroot(nid)
+        segments.append([trees[t].config(j) for j in reversed(chain)])
+        if t > 0:
+            nid = sources[t - 1][chain[-1]]
     if debug is not None:
         debug["trees"] = trees
         debug["sources"] = sources
-        debug["fs_per_phase"] = fs_per_phase
         debug["best_cost_trace"] = trace
-    return path
-
-
-def _extract_path(trees, sources, best):
-    t = len(trees) - 1
-    nid = best
-    segments = []
-    while True:
-        tree = trees[t]
-        chain = tree.path_to_subroot(nid)
-        segments.append([tree.config(i) for i in reversed(chain)])
-        top = chain[-1]
-        if t == 0:
-            break
-        nid = sources[t - 1][top]
-        t -= 1
-    segments.reverse()
-    configs = list(segments[0])
-    bounds = []
-    for seg in segments[1:]:
-        bounds.append(len(configs) - 1)
-        configs.extend(seg[1:])  # boundary vertex shared with previous segment
-    configs = np.array(configs)
-    total = float(np.sum(np.linalg.norm(np.diff(configs, axis=0), axis=1)))
-    return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=total)
+    return _stitch(segments[::-1])
 
 
 def psm_star(task, params, debug=None):
@@ -366,150 +382,94 @@ def psm_star_greedy(task, params, debug=None):
 
 def psm_star_single_tree(task, params, debug=None):
     """Single tree grown over the whole manifold sequence (duplicate threshold 0)."""
-    _check_start(task, params)
-    rng = np.random.default_rng(params.seed)
-    steer_params = params.steer()
-    bounds = task.bounds_array()
-    gamma = _gamma(task, params)
+    run = _Run(task, params)
+    steer = _psm_steering(run)
     n = task.n_phases
-    dim = task.ambient_dim
-
-    fs_list = [None] * (n + 1)
-    fs_list[0] = task.free_space
-    tree = Tree(dim)
+    fs_list = [task.free_space] + [None] * n  # free space of each phase, set once first reached
+    tree = Tree(task.ambient_dim)
     tree.add(task.start(), parent=-1, cost=0.0, phase=0, on=(0,))
     goals = []
+
+    def label(i, q_new):
+        # a node also on the next manifold belongs to the next phase (the goal has none)
+        if np.linalg.norm(evaluate(task.manifolds[i + 1], q_new)) < params.eps:
+            return min(i + 1, n - 1), (i, i + 1)
+        return i, (i,)
 
     def edge_ok(node_id, on_new):
         return bool(set(tree.on[node_id]) & set(on_new))
 
-    def make_segment_free(on_new):
-        def segment_free(a_id, q):
-            common = set(tree.on[a_id]) & set(on_new)
-            j = min(max(common), n - 1)
-            return task.segment_free(tree.config(a_id), q, fs_list[j])
-        return segment_free
+    def segment_free(a_id, q, on_new):
+        j = min(max(set(tree.on[a_id]) & set(on_new)), n - 1)
+        return task.segment_free(tree.config(a_id), q, fs_list[j])
 
     for _ in range(n * params.m):
-        q_rand = rng.uniform(bounds[:, 0], bounds[:, 1])
-        near_id = tree.nearest(q_rand)
-        i = tree.phase[near_id]
-        m_i, m_next = task.manifolds[i], task.manifolds[i + 1]
-        q_new = psm_steer(steer_params, tree.config(near_id), q_rand, m_i, m_next,
-                          rng, params.eps, params.max_project_iters)
-        if q_new is None or not _in_bounds(q_new, bounds):
-            continue
-        if np.linalg.norm(evaluate(m_i, q_new)) > params.eps:
-            continue
-        on_new = (i,)
-        if np.linalg.norm(evaluate(m_next, q_new)) < params.eps:
-            on_new = (i, i + 1)
-        phase_new = i + 1 if (len(on_new) == 2 and i + 1 <= n - 1) else i
-        new_id = rrt_star_extend(tree, near_id, q_new, make_segment_free(on_new), params, gamma,
-                                 phase=phase_new, on=on_new, edge_ok=edge_ok)
-        if new_id is None:
-            continue
-        if len(on_new) == 2:
-            j = i + 1
+        new_id = run.extend(tree, run.uniform(), steer, segment_free, label, edge_ok)
+        if new_id is not None and len(tree.on[new_id]) == 2:
+            i, j = tree.on[new_id]
             if fs_list[j] is None:
-                fs_list[j] = task.advance_free_space(fs_list[i], i, q_new)
+                fs_list[j] = task.advance_free_space(fs_list[i], i, tree.config(new_id))
             if j == n:
                 goals.append(new_id)
     if not goals:
         raise PlanningFailure(phase=n - 1, message="goal manifold never reached")
-    best = min(goals, key=lambda g: (tree.cost[g], g))
-    chain = tree.path_to_subroot(best)
-    configs = np.array([tree.config(i) for i in reversed(chain)])
-    phases = [tree.phase[i] for i in reversed(chain)]
-    bounds_idx = [k for k in range(1, len(phases)) if phases[k] > phases[k - 1]]
-    total = float(np.sum(np.linalg.norm(np.diff(configs, axis=0), axis=1)))
+    chain = tree.path_to_subroot(min(goals, key=lambda g: (tree.cost[g], g)))[::-1]
+    cuts = [k for k in range(1, len(chain)) if tree.phase[chain[k]] > tree.phase[chain[k - 1]]]
     if debug is not None:
         debug["tree"] = tree
-        debug["fs_list"] = fs_list
-    return SolutionPath(configs=configs, segment_bounds=bounds_idx, total_cost=total)
+    return _stitch([[tree.config(v) for v in chain[a:b + 1]]
+                    for a, b in zip([0] + cuts, cuts + [len(chain) - 1])])
 
 
 def rrt_star_ik(task, params, debug=None):
     """Per-manifold baseline: fix an intersection goal by random-sample IK,
     then run goal-directed RRT* on the current manifold toward it."""
-    _check_start(task, params)
-    rng = np.random.default_rng(params.seed)
-    bounds = task.bounds_array()
-    gamma = _gamma(task, params)
-    n = task.n_phases
-    dim = task.ambient_dim
+    run = _Run(task, params)
+
+    def steer(q_near, q_rand, m_i, m_next):  # a tangent step of at most alpha, projected back onto m_i
+        d = steer_point(q_near, q_rand, m_i)
+        nd = np.linalg.norm(d)
+        if nd < ZERO_DIRECTION_TOL:
+            return None
+        return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps, params.max_project_iters)
 
     fs = task.free_space
     q_seg_start = task.start()
-    all_segments = []
-    for i in range(n):
-        m_i, m_next = task.manifolds[i], task.manifolds[i + 1]
-        inter = Intersection(m_i, m_next)
-        goal = None
+    segments = []
+    for i in range(task.n_phases):
+        inter = Intersection(task.manifolds[i], task.manifolds[i + 1])
         for _ in range(IK_RETRIES):
-            q = rng.uniform(bounds[:, 0], bounds[:, 1])
-            p = project(q, inter, params.eps, params.max_project_iters)
-            if p is not None and _in_bounds(p, bounds) and task.config_free(p, fs):
-                goal = p
+            goal = project(run.uniform(), inter, params.eps, params.max_project_iters)
+            if goal is not None and _in_bounds(goal, run.bounds) and task.config_free(goal, fs):
                 break
-        if goal is None:
+        else:
             raise PlanningFailure(phase=i, message=f"IK goal generation failed in phase {i}")
 
-        fs_i = fs
-        tree = Tree(dim)
+        tree = Tree(task.ambient_dim)
         tree.add(q_seg_start, parent=-1, cost=0.0, phase=i)
+        segment_free = _segment_free_in(task, tree, fs)
 
-        def segment_free(a_id, q):
-            return task.segment_free(tree.config(a_id), q, fs_i)
+        def goal_link(node):
+            """[(cost to the goal through node, node)] if node is a free step from it, else []."""
+            gd = float(np.linalg.norm(tree.config(node) - goal))
+            if gd <= params.alpha and task.segment_free(tree.config(node), goal, fs):
+                return [(tree.cost[node] + gd, node)]
+            return []
 
-        best_conn = None  # (cost, node id)
+        links = []
         for _ in range(params.m):
-            if rng.random() < IK_GOAL_BIAS:
-                q_rand = goal
-            else:
-                q_rand = rng.uniform(bounds[:, 0], bounds[:, 1])
-            near_id = tree.nearest(q_rand)
-            d = steer_point(tree.config(near_id), q_rand, m_i)
-            nd = np.linalg.norm(d)
-            if nd < 1e-12:
-                continue
-            step = min(params.alpha, nd)
-            q_new = project(tree.config(near_id) + step * d / nd, m_i,
-                            params.eps, params.max_project_iters)
-            if q_new is None or not _in_bounds(q_new, bounds):
-                continue
-            if np.linalg.norm(evaluate(m_i, q_new)) > params.eps:
-                continue
-            new_id = rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=i)
-            if new_id is None:
-                continue
-            gd = float(np.linalg.norm(q_new - goal))
-            if gd <= params.alpha and task.segment_free(q_new, goal, fs_i):
-                c = tree.cost[new_id] + gd
-                if best_conn is None or c < best_conn[0]:
-                    best_conn = (c, new_id)
-        # the start itself may already connect to the goal
-        gd0 = float(np.linalg.norm(q_seg_start - goal))
-        if gd0 <= params.alpha and task.segment_free(q_seg_start, goal, fs_i):
-            if best_conn is None or gd0 < best_conn[0]:
-                best_conn = (gd0, 0)
-        if best_conn is None:
+            q_rand = goal if run.rng.random() < IK_GOAL_BIAS else run.uniform()
+            new_id = run.extend(tree, q_rand, steer, segment_free)
+            if new_id is not None:
+                links += goal_link(new_id)
+        links += goal_link(0)  # the start itself may already connect to the goal
+        if not links:
             raise PlanningFailure(phase=i, message=f"no path to the IK goal in phase {i}")
-        _, node = best_conn
-        chain = tree.path_to_subroot(node)
-        seg = [tree.config(j) for j in reversed(chain)] + [goal]
-        all_segments.append(seg)
+        chain = tree.path_to_subroot(min(links, key=lambda link: link[0])[1])  # first of equal costs
+        segments.append([tree.config(j) for j in reversed(chain)] + [goal])
         fs = task.advance_free_space(fs, i, goal)
         q_seg_start = goal
-
-    configs = list(all_segments[0])
-    bounds_idx = []
-    for seg in all_segments[1:]:
-        bounds_idx.append(len(configs) - 1)
-        configs.extend(seg[1:])
-    configs = np.array(configs)
-    total = float(np.sum(np.linalg.norm(np.diff(configs, axis=0), axis=1)))
-    return SolutionPath(configs=configs, segment_bounds=bounds_idx, total_cost=total)
+    return _stitch(segments)
 
 
 PLANNERS = {

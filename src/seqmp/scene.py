@@ -8,6 +8,7 @@ immutable value; transitions return new states.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, replace
 
@@ -437,14 +438,16 @@ def build_benchmark_scene(name):
 
 def _manifold_to_dict(m):
     if isinstance(m, Paraboloid):
-        return {"type": "paraboloid", "params": {"coeff": m.coeff, "offset": m.offset}}
-    if isinstance(m, Cylinder):
-        return {"type": "cylinder", "params": {"coeff": m.coeff, "rhs": m.rhs}}
-    if isinstance(m, PointGoal):
-        return {"type": "goal_point", "params": {"target": list(m.target)}}
-    if isinstance(m, AffinePlane):
-        return {"type": "plane", "params": {"A": m.A.tolist(), "b": m.b.tolist()}}
-    raise ValueError(f"manifold {m.name!r} has no scene-file representation")
+        t, p = "paraboloid", {"coeff": m.coeff, "offset": m.offset}
+    elif isinstance(m, Cylinder):
+        t, p = "cylinder", {"coeff": m.coeff, "rhs": m.rhs}
+    elif isinstance(m, PointGoal):
+        t, p = "goal_point", {"target": list(m.target)}
+    elif isinstance(m, AffinePlane):
+        t, p = "plane", {"A": m.A.tolist(), "b": m.b.tolist()}
+    else:
+        raise ValueError(f"manifold {m.name!r} has no scene-file representation")
+    return {"type": t, "name": m.name, "params": p}
 
 
 def _system_to_dict(system):
@@ -459,16 +462,26 @@ def _system_to_dict(system):
     return {"chains": chains}
 
 
+def _from_entries(what, entries, build):
+    """``build`` of each entry; an entry lacking a key ends in a ValueError naming it."""
+    out = []
+    for k, e in enumerate(entries):
+        try:
+            out.append(build(e))
+        except KeyError as err:
+            raise ValueError(f"{what} {k} lacks key {err.args[0]!r}") from None
+    return tuple(out)
+
+
 def _system_from_dict(d):
-    chains = []
-    for cd in d["chains"]:
-        chains.append(kin.SerialChain(
-            joints=tuple(kin.Joint(tuple(j["axis"]), j["type"], tuple(j["origin"])) for j in cd["joints"]),
-            base=tuple(cd["base"]),
-            tool=tuple(cd["tool"]),
-            limits=tuple(tuple(l) for l in cd["limits"]),
-        ))
-    return kin.MultiRobotSystem(chains=tuple(chains))
+    if "chains" not in d:
+        raise ValueError("scene 'system' lacks key 'chains'")
+    return kin.MultiRobotSystem(chains=_from_entries("system chain", d["chains"], lambda cd: kin.SerialChain(
+        joints=tuple(kin.Joint(tuple(j["axis"]), j["type"], tuple(j["origin"])) for j in cd["joints"]),
+        base=tuple(cd["base"]),
+        tool=tuple(cd["tool"]),
+        limits=tuple(tuple(l) for l in cd["limits"]),
+    )))
 
 
 def task_to_dict(task):
@@ -495,22 +508,23 @@ def task_to_dict(task):
             desc = getattr(m, "scene_spec", None)
             if desc is None:
                 raise ValueError(f"kinematic manifold {m.name!r} lacks a scene_spec")
-            manifolds.append(desc)
+            manifolds.append(copy.deepcopy(desc))
         d["manifolds"] = manifolds
     return d
 
 
 def _manifold_from_dict(d, system):
     t, p = d.get("type"), d.get("params", {})
+    named = {"name": d["name"]} if "name" in d else {}
     try:
         if t == "paraboloid":
-            return Paraboloid(p["coeff"], p["offset"])
+            return Paraboloid(p["coeff"], p["offset"], **named)
         if t == "cylinder":
-            return Cylinder(p["coeff"], p["rhs"])
+            return Cylinder(p["coeff"], p["rhs"], **named)
         if t == "goal_point":
-            return PointGoal(p["target"])
+            return PointGoal(p["target"], **named)
         if t == "plane":
-            return AffinePlane(p["A"], p["b"])
+            return AffinePlane(p["A"], p["b"], **named)
         if t in ("pick", "handover", "orientation"):
             if system is None:
                 raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
@@ -528,7 +542,7 @@ def _manifold_from_dict(d, system):
             raise ValueError(f"unknown manifold type {t!r}")
     except KeyError as e:
         raise ValueError(f"{t} manifold {d.get('name', t)!r} lacks params key {e.args[0]!r}") from None
-    m.scene_spec = d
+    m.scene_spec = copy.deepcopy(d)
     return m
 
 
@@ -546,10 +560,10 @@ def task_from_dict(d):
         raise ValueError(f"scene description lacks required key(s): {', '.join(missing)}")
     system = _system_from_dict(d["system"]) if "system" in d else None
     manifolds = tuple(_manifold_from_dict(md, system) for md in d["manifolds"])
-    obstacles = tuple(
-        ObstacleAABB(tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")) for o in d.get("obstacles", ())
-    )
-    transitions = tuple(TransitionRule(r["trigger"], r["effect"]) for r in d.get("transitions", ()))
+    obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
+        tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
+    transitions = _from_entries("transition", d.get("transitions", ()),
+                                lambda r: TransitionRule(r["trigger"], r["effect"]))
     return Task(
         name=d.get("name", "scene"),
         manifolds=manifolds,

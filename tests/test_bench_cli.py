@@ -1,5 +1,6 @@
 """Benchmark harness, result/path files, and the command-line interface."""
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from seqmp import bench
 from seqmp.cli import main
-from seqmp.planner import PlannerParams
+from seqmp.planner import PLANNERS, PlannerParams
 from seqmp.scene import available_scenes
 
 FAST = PlannerParams(m=300, seed=0)
@@ -82,9 +83,10 @@ class TestRunAndBatch:
 
 
 class TestPathFiles:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_round_trip(self, planner, tmp_path):
         task = bench.resolve_task("point3d_free")
-        _, path = bench.run(task, "psm", FAST)
+        _, path = bench.run(task, planner, FAST)
         f = tmp_path / "path.csv"
         bench.write_path_csv(path, f)
         back = bench.read_path_csv(f)
@@ -212,6 +214,13 @@ def _bad_scene_files():
         d = {k: v for k, v in robot.items() if k != "system"}
         d["manifolds"] = [{"type": kind, "name": kind, "params": params}] + robot["manifolds"][1:]
         out[f"{kind}_without_system"] = d
+    for entry, key in (("obstacles", "min"), ("transitions", "trigger")):
+        d = copy.deepcopy(robot)
+        del d[entry][0][key]
+        out[f"{entry}_entry_without_{key}"] = d
+    d = copy.deepcopy(robot)
+    del d["system"]["chains"][0]["joints"]
+    out["chain_without_joints"] = d
     return out
 
 

@@ -9,8 +9,6 @@ from seqmp.planner import (
     PlannerParams,
     PlanningFailure,
     Tree,
-    near,
-    nearest,
     psm_star,
     psm_star_greedy,
     psm_star_single_tree,
@@ -70,12 +68,12 @@ class TestTreeQueries:
     def test_single_node_tree(self):
         t = Tree(2)
         t.add(np.array([1.0, 1.0]), parent=-1, cost=0.0)
-        assert nearest(t, np.array([5.0, 5.0])) == 0
+        assert t.nearest(np.array([5.0, 5.0])) == 0
 
     def test_radius_zero_empty(self):
         t = Tree(2)
         t.add(np.array([1.0, 1.0]), parent=-1, cost=0.0)
-        assert near(t, np.array([1.0, 1.0]), 0.0) == []
+        assert t.near(np.array([1.0, 1.0]), 0.0) == []
 
     def test_matches_linear_scan_oracle(self):
         t = Tree(3)
@@ -85,16 +83,16 @@ class TestTreeQueries:
         for _ in range(50):
             q = RNG.uniform(-5, 5, 3)
             dists = np.linalg.norm(pts - q, axis=1)
-            assert nearest(t, q) == int(np.argmin(dists))
+            assert t.nearest(q) == int(np.argmin(dists))
             radius = RNG.uniform(0.5, 4.0)
-            assert near(t, q, radius) == sorted(np.nonzero(dists <= radius)[0])
+            assert t.near(q, radius) == sorted(np.nonzero(dists <= radius)[0])
 
     def test_synthetic_roots_excluded(self):
         t = Tree(2)
         t.add(None, parent=-1, cost=0.0, synthetic=True)
         t.add(np.array([3.0, 3.0]), parent=0, cost=0.0)
-        assert nearest(t, np.array([0.0, 0.0])) == 1
-        assert near(t, np.array([0.0, 0.0]), 100.0) == [1]
+        assert t.nearest(np.array([0.0, 0.0])) == 1
+        assert t.near(np.array([0.0, 0.0]), 100.0) == [1]
 
     def test_several_synthetic_roots_excluded(self):
         t = Tree(2)
@@ -110,12 +108,12 @@ class TestTreeQueries:
         for _ in range(20):
             q = RNG.uniform(-3, 3, 2)
             dists = np.linalg.norm(pts[real] - q, axis=1)
-            assert nearest(t, q) == real[int(np.argmin(dists))]
-            assert near(t, q, 2.0) == [real[j] for j in np.nonzero(dists <= 2.0)[0]]
+            assert t.nearest(q) == real[int(np.argmin(dists))]
+            assert t.near(q, 2.0) == [real[j] for j in np.nonzero(dists <= 2.0)[0]]
 
     def test_empty_tree_raises(self):
         with pytest.raises(ValueError):
-            nearest(Tree(2), np.zeros(2))
+            Tree(2).nearest(np.zeros(2))
 
 
 class TestRrtStarExtend:

@@ -210,6 +210,7 @@ class TestSceneJson:
         clone = task_from_dict(json.loads(export_scene_json(name)))
         assert clone.ambient_dim == task.ambient_dim
         assert len(clone.manifolds) == len(task.manifolds)
+        assert [m.name for m in clone.manifolds] == [m.name for m in task.manifolds]
         assert clone.q_start == pytest.approx(task.q_start)
         for _ in range(10):
             q = RNG.uniform(-1.5, 1.5, task.ambient_dim)
@@ -238,6 +239,17 @@ class TestSceneJson:
         d["manifolds"][0]["params"]["chain"] = 3
         with pytest.raises(ValueError, match="chain"):
             task_from_dict(d)
+
+    def test_exported_and_loaded_dicts_are_copies(self):
+        # editing an exported dict, or the dict a task was loaded from, must not change the task
+        task = build_benchmark_scene("transport_a_mini")
+        before = export_scene_json(task)
+        task_to_dict(task)["manifolds"][0]["params"]["target"] = [9.0, 9.0, 9.0]
+        assert export_scene_json(task) == before
+        d = json.loads(before)
+        clone = task_from_dict(d)
+        d["manifolds"][0]["params"]["target"] = [9.0, 9.0, 9.0]
+        assert export_scene_json(clone) == before
 
     def test_schema_keys(self):
         d = task_to_dict(build_benchmark_scene("point3d_obstacles"))
