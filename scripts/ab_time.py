@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Paired wall-time ratios of two seqmp checkouts, timed in one process.
+
+    python3 scripts/ab_time.py OLD_ROOT NEW_ROOT --workload point_planners --reps 8
+
+Loads ``OLD_ROOT/src/seqmp`` and ``NEW_ROOT/src/seqmp`` side by side (as the
+packages ``seqmp_old`` and ``seqmp_new``) and runs the planner jobs of one
+``perfbench/workloads.py`` workload through both, job by job, flipping which
+side goes first on every job. Prints the ratio new/old of each repetition's
+summed wall time (median and quartiles) and checks that both sides return
+the same path digest for every job; exits 1 if any digest differs.
+
+This is for sizing a change only. It skips what the benchmark does to make
+timings comparable across runs (a fresh process per run, the speed probe,
+the set-up timings), so claimed gains come from ``perfbench/run.py``. It
+reads ``perfbench/`` and does not change it.
+"""
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # as perfbench pins BLAS; must precede the numpy import
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+from workloads import WORKLOADS, job_groups  # noqa: E402
+from worker import digest, run_job  # noqa: E402
+
+
+def load_bench(root, name):
+    """``seqmp.bench`` of the checkout at ``root``, imported as package ``name``."""
+    pkg = os.path.join(os.path.abspath(root), "src", "seqmp")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(pkg, "__init__.py"),
+                                                  submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.bench")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old_root")
+    ap.add_argument("new_root")
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--reps", type=int, default=8)
+    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    args = ap.parse_args()
+    if args.reps < 2:
+        ap.error("--reps must be at least 2 to give quartiles")
+
+    workload = WORKLOADS[args.workload]
+    sides = []
+    for root, name in ((args.old_root, "seqmp_old"), (args.new_root, "seqmp_new")):
+        bench = load_bench(root, name)
+        task = bench.resolve_task(workload.scene)
+        sides.append((bench, task, bench.params_with_overrides(task, workload.overrides)))
+    jobs = [job for group in job_groups(workload, args.seed) for job in group]
+
+    ratios, mismatches = [], set()
+    for rep in range(args.reps):
+        wall = [0.0, 0.0]
+        for j, (planner, seed) in enumerate(jobs):
+            digests = [None, None]
+            for s in ((0, 1) if (rep + j) % 2 == 0 else (1, 0)):
+                path, seconds, error = run_job(*sides[s], planner, seed)
+                if error:
+                    print(f"{('old', 'new')[s]} {planner} seed {seed}: {error.strip().splitlines()[-1]}")
+                wall[s] += seconds
+                digests[s] = digest(path)
+            if digests[0] != digests[1]:
+                mismatches.add((planner, seed))
+        ratios.append(wall[1] / wall[0])
+        print(f"rep {rep}: old {wall[0]:.3f} s  new {wall[1]:.3f} s  new/old {ratios[-1]:.3f}", flush=True)
+
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps; new/old median {median:.3f} "
+          f"(quartiles {q1:.3f}-{q3:.3f})")
+    for planner, seed in sorted(mismatches):
+        print(f"DIGEST DIFFERS: {planner} seed {seed}")
+    print(f"digests: {len(jobs) - len(mismatches)}/{len(jobs)} jobs equal")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

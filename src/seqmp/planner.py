@@ -171,8 +171,7 @@ class Tree:
     def near(self, q, radius):
         if radius <= 0:
             return []
-        dist = self._distances(q)
-        return [int(i) for i in np.nonzero(dist <= radius)[0]]
+        return np.flatnonzero(self._distances(q) <= radius).tolist()
 
     def reparent(self, node, new_parent, new_cost):
         old = self.parent[node]
@@ -202,6 +201,17 @@ def rewiring_radius(gamma, n_nodes, dim, alpha):
     return min(gamma * (np.log(n_nodes) / n_nodes) ** (1.0 / dim), alpha)
 
 
+def row_norms(d):
+    """Euclidean norm of each row of ``d`` (n, k), equal bit for bit to
+    ``np.linalg.norm`` of that row.
+
+    A stack of 1 x k by k x 1 products sums in the same order as the dot
+    product ``norm`` takes; ``einsum`` and summed squares differ from it in
+    the last bit on some rows, which can change a parent choice or a rewire.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
 def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
                     phase=0, on=(), edge_ok=None):
     """Insert q_new with minimum-cost parent choice and rewiring.
@@ -211,11 +221,14 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     variant). Returns the new node id, or None when the initial segment
     collides.
 
-    The parent search checks collisions lazily, as OMPL's RRTstar does: the
-    neighbours that would beat ``near_id`` are tried in order of (cost
-    through them, id), and the first free one is the parent: the cheapest
-    free neighbour, lowest id on ties, found with no more segment checks than
-    checking every improving neighbour in id order.
+    The distances from q_new to the neighbours and ``near_id`` and the costs
+    through them come from one batched pass. The parent search checks
+    collisions lazily, as OMPL's RRTstar does: the neighbours that would beat
+    ``near_id`` are tried in order of (cost through them, id), and the first
+    free one is the parent: the cheapest free neighbour, lowest id on ties,
+    found with no more segment checks than checking every improving
+    neighbour in id order. Rewiring then checks, in id order, the neighbours
+    that q_new makes cheaper.
     """
     q_new = np.asarray(q_new, dtype=float)
     if not segment_free(near_id, q_new):
@@ -224,24 +237,23 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     neighbors = tree.near(q_new, radius)
     if edge_ok is not None:
         neighbors = [i for i in neighbors if edge_ok(i, on)]
-    q_min = near_id
-    c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
-    candidates = []
-    for i in neighbors:
-        if i == near_id:
-            continue
-        c = tree.cost[i] + float(np.linalg.norm(q_new - tree.config(i)))
-        if c < c_min:
-            candidates.append((c, i))
-    for c, i in sorted(candidates):
-        if segment_free(i, q_new):
-            q_min, c_min = i, c
+    ids = neighbors + [near_id]
+    dist = row_norms(q_new - tree.configs[ids])
+    cost = np.fromiter(map(tree.cost.__getitem__, ids), dtype=float, count=len(ids))
+    via = cost + dist  # cost of q_new through each node; near_id's is last
+    nbr = np.array(neighbors, dtype=np.intp)
+    q_min, c_min = near_id, float(via[-1])
+    better = np.flatnonzero((via[:-1] < c_min) & (nbr != near_id))
+    for k in better[np.lexsort((nbr[better], via[better]))].tolist():
+        if segment_free(neighbors[k], q_new):
+            q_min, c_min = neighbors[k], float(via[k])
             break
     new_id = tree.add(q_new, parent=q_min, cost=c_min, phase=phase, on=on)
-    for i in neighbors:
-        if i == q_min:
-            continue
-        c = c_min + float(np.linalg.norm(q_new - tree.config(i)))
+    # rewiring only lowers costs, so a neighbour q_new does not improve on
+    # the costs before it is never rewired; the rest are tested again
+    through_new = c_min + dist[:-1]
+    for k in np.flatnonzero((through_new < cost[:-1]) & (nbr != q_min)).tolist():
+        i, c = neighbors[k], float(through_new[k])
         if c < tree.cost[i] and segment_free(i, q_new):
             tree.reparent(i, new_id, c)
     return new_id
@@ -335,8 +347,8 @@ def _psm_run(task, params, greedy, debug=None):
             if new_id is None:
                 continue
             q_new = tree.config(new_id)
-            if np.linalg.norm(evaluate(m_next, q_new)) < params.eps and all(
-                    np.linalg.norm(q_new - tree.config(g)) >= params.rho for g in V_goal):
+            if np.linalg.norm(evaluate(m_next, q_new)) < params.eps and np.all(
+                    row_norms(q_new - tree.configs[V_goal]) >= params.rho):
                 V_goal.append(new_id)
             if trace is not None and i == n - 1 and V_goal:
                 trace.append(min(tree.cost[g] for g in V_goal))
@@ -450,10 +462,10 @@ def rrt_star_ik(task, params, debug=None):
         segment_free = _segment_free_in(task, tree, fs)
 
         def goal_link(node):
-            """[(cost to the goal through node, node)] if node is a free step from it, else []."""
+            """[(distance to the goal, node)] if node is a free step from it, else []."""
             gd = float(np.linalg.norm(tree.config(node) - goal))
             if gd <= params.alpha and task.segment_free(tree.config(node), goal, fs):
-                return [(tree.cost[node] + gd, node)]
+                return [(gd, node)]
             return []
 
         links = []
@@ -465,7 +477,8 @@ def rrt_star_ik(task, params, debug=None):
         links += goal_link(0)  # the start itself may already connect to the goal
         if not links:
             raise PlanningFailure(phase=i, message=f"no path to the IK goal in phase {i}")
-        chain = tree.path_to_subroot(min(links, key=lambda link: link[0])[1])  # first of equal costs
+        # rewiring lowers node costs after they are linked, so cost the links now; first of equal costs
+        chain = tree.path_to_subroot(min(links, key=lambda link: tree.cost[link[1]] + link[0])[1])
         segments.append([tree.config(j) for j in reversed(chain)] + [goal])
         fs = task.advance_free_space(fs, i, goal)
         q_seg_start = goal

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class FreeSpaceState:
 
     def object_count(self):
         return len(self.obstacles) + len(self.attachments)
+
+    @cached_property
+    def corners(self):
+        """The obstacles' (min, max) corners packed once, as two
+        (n_obstacles, 1, d) arrays that broadcast against (P, d) points."""
+        lo = np.array([ob.min_corner for ob in self.obstacles], dtype=float)
+        hi = np.array([ob.max_corner for ob in self.obstacles], dtype=float)
+        return lo[:, None, :], hi[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,13 @@ def collision_points(q, fs, system=None):
 
 
 def point_free(points, fs):
+    """True when no point (d,) or (P, d) lies strictly inside an obstacle;
+    one broadcast test over every point and box."""
     if not fs.obstacles:
         return True
+    lo, hi = fs.corners
     pts = np.atleast_2d(points)
-    for ob in fs.obstacles:
-        if np.any(ob.contains(pts)):
-            return False
-    return True
+    return not ((pts > lo) & (pts < hi)).all(axis=2).any()
 
 
 def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None):
@@ -171,7 +180,8 @@ def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None)
         return True
     dist = float(np.linalg.norm(qb - qa))
     n = max(1, int(np.ceil(dist / step)))
-    ts = np.linspace(0.0, 1.0, n + 1)
+    ts = np.arange(n + 1) * (1.0 / n)  # np.linspace(0, 1, n + 1), without its overhead
+    ts[-1] = 1.0
     qs = qa[None, :] + ts[:, None] * (qb - qa)[None, :]
     return point_free(collision_points(qs, fs, system), fs)
 
@@ -463,9 +473,12 @@ def _system_to_dict(system):
 
 
 def _from_entries(what, entries, build):
-    """``build`` of each entry; an entry lacking a key ends in a ValueError naming it."""
+    """``build`` of each entry; an entry that is not an object or lacks a key
+    ends in a ValueError naming it."""
     out = []
     for k, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{what} {k} must be an object, got {e!r}")
         try:
             out.append(build(e))
         except KeyError as err:
@@ -516,6 +529,8 @@ def task_to_dict(task):
 def _manifold_from_dict(d, system):
     t, p = d.get("type"), d.get("params", {})
     named = {"name": d["name"]} if "name" in d else {}
+    if not isinstance(p, dict):
+        raise ValueError(f"{t} manifold {d.get('name', t)!r}: params must be an object, got {p!r}")
     try:
         if t == "paraboloid":
             return Paraboloid(p["coeff"], p["offset"], **named)
@@ -532,6 +547,9 @@ def _manifold_from_dict(d, system):
                 if key in p and not (isinstance(p[key], int) and 0 <= p[key] < len(system.chains)):
                     raise ValueError(f"{t} manifold {d.get('name', t)!r}: {key} {p[key]!r} is not a chain index "
                                      f"of the {len(system.chains)}-chain system")
+            if t == "pick" and np.shape(p["target"]) != (3,):
+                raise ValueError(f"pick manifold {d.get('name', t)!r}: target must be a workspace point "
+                                 f"of 3 coordinates, got {p['target']!r}")
         if t == "pick":
             m = kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
         elif t == "handover":
@@ -550,8 +568,9 @@ def task_from_dict(d):
     """Build a Task from the scene description schema.
 
     Raises ValueError naming the problem when a required key (manifold
-    params included) is missing or a kinematic manifold has no system to act
-    on.
+    params included) is missing, an entry is not an object, a kinematic
+    manifold has no system to act on, or the manifolds, ``start`` and
+    ``bounds`` disagree on the number of configuration coordinates.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")
@@ -559,7 +578,20 @@ def task_from_dict(d):
     if missing:
         raise ValueError(f"scene description lacks required key(s): {', '.join(missing)}")
     system = _system_from_dict(d["system"]) if "system" in d else None
-    manifolds = tuple(_manifold_from_dict(md, system) for md in d["manifolds"])
+    manifolds = _from_entries("manifold", d["manifolds"], lambda md: _manifold_from_dict(md, system))
+    if len(manifolds) < 2:
+        raise ValueError(f"a scene needs at least two manifolds, got {len(manifolds)}")
+    k = manifolds[0].ambient_dim
+    for j, m in enumerate(manifolds):
+        if m.ambient_dim != k:
+            raise ValueError(f"manifold {j} ({m.name!r}) has {m.ambient_dim} configuration coordinates, "
+                             f"manifold 0 ({manifolds[0].name!r}) has {k}")
+    for key in ("start", "bounds"):
+        if not isinstance(d[key], (list, tuple)) or len(d[key]) != k:
+            raise ValueError(f"scene {key!r} must have one entry per configuration coordinate ({k}), got {d[key]!r}")
+    for j, b in enumerate(d["bounds"]):
+        if not isinstance(b, (list, tuple)) or len(b) != 2:
+            raise ValueError(f"bounds entry {j} must be a [lo, hi] pair, got {b!r}")
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
         tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
     transitions = _from_entries("transition", d.get("transitions", ()),

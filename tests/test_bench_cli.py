@@ -221,6 +221,26 @@ def _bad_scene_files():
     d = copy.deepcopy(robot)
     del d["system"]["chains"][0]["joints"]
     out["chain_without_joints"] = d
+    for entry in ("manifolds", "obstacles", "transitions"):
+        d = copy.deepcopy(robot)
+        d[entry][0] = [1.0, 2.0]
+        out[f"{entry}_entry_not_an_object"] = d
+    d = copy.deepcopy(point)
+    d["manifolds"][0]["params"] = [0.1, 2.0]
+    out["params_not_an_object"] = d
+    for key in ("start", "bounds"):
+        d = copy.deepcopy(point)
+        d[key] = d[key][:-1]
+        out[f"{key}_too_short"] = d
+        d = copy.deepcopy(robot)
+        d[key] = d[key] + d[key][-1:]
+        out[f"{key}_too_long"] = d
+    d = copy.deepcopy(point)
+    d["manifolds"][-1]["params"]["target"] = [1.0, 2.0]
+    out["goal_point_target_wrong_length"] = d
+    d = copy.deepcopy(robot)
+    d["manifolds"][0]["params"]["target"] = [0.3, 0.0, 0.3, 0.0]
+    out["pick_target_wrong_length"] = d
     return out
 
 
@@ -232,6 +252,14 @@ def test_plan_on_malformed_scene_exits_2_with_message(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(_bad_scene_files()))
+def test_malformed_scene_rejected_by_loader(case):
+    from seqmp.scene import task_from_dict
+
+    with pytest.raises(ValueError):
+        task_from_dict(_bad_scene_files()[case])
 
 
 @pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0},
@@ -274,3 +302,52 @@ def test_missing_manifold_param_is_named_and_plan_exits_2(data):
             rc = main(["plan", "--scene", f, "--planner", "psm"])
     assert rc == 2
     assert stderr.getvalue().startswith("error: ") and key in stderr.getvalue()
+
+
+def _corruptions(d):
+    """For every field of the scene dict ``d`` the loader checks, and each way
+    of corrupting it: (text the error must contain, function that corrupts a
+    copy of ``d`` in place)."""
+    not_object = [3, "x", None, [1.0, 2.0]]
+    out = []
+    for entry, what in (("manifolds", "manifold"), ("obstacles", "obstacle"), ("transitions", "transition")):
+        for k in range(len(d.get(entry, ()))):
+            out += [(f"{what} {k} ", lambda c, e=entry, k=k, b=bad: c[e].__setitem__(k, b)) for bad in not_object]
+    for k, md in enumerate(d["manifolds"]):
+        name = repr(md.get("name", md["type"]))
+        out += [(name, lambda c, k=k, b=bad: c["manifolds"][k].__setitem__("params", b)) for bad in not_object]
+        if md["type"] in ("goal_point", "pick"):
+            out += [(name, lambda c, k=k, cut=cut: _resize(c["manifolds"][k]["params"], "target", cut))
+                    for cut in (-1, 1)]
+    for key in ("start", "bounds"):
+        out += [(repr(key), lambda c, key=key, cut=cut: _resize(c, key, cut)) for cut in (-1, 1)]
+    return out
+
+
+def _resize(d, key, cut):
+    """Drop the last entry of the list ``d[key]`` (cut -1) or repeat it (cut +1)."""
+    d[key] = d[key][:-1] if cut < 0 else d[key] + d[key][-1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_corrupted_scene_field_is_named_and_plan_exits_2(data):
+    # one field of any exported built-in scene made malformed: an entry or a
+    # params that is not an object, or a start, bounds or target of the wrong length
+    from seqmp.scene import task_from_dict
+
+    d = json.loads(_exported_scenes()[data.draw(st.sampled_from(sorted(_exported_scenes())))])
+    named, corrupt = data.draw(st.sampled_from(_corruptions(d)))
+    corrupt(d)
+    with pytest.raises(ValueError) as err:
+        task_from_dict(d)
+    assert named in str(err.value)
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "scene.json")
+        with open(f, "w") as fh:
+            json.dump(d, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main(["plan", "--scene", f, "--planner", "psm"])
+    assert rc == 2
+    assert stderr.getvalue().startswith("error: ") and named in stderr.getvalue()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmp import planner
 from seqmp.manifolds import AffinePlane, PointGoal, Sphere, evaluate
 from seqmp.planner import (
     PlannerParams,
@@ -12,7 +13,9 @@ from seqmp.planner import (
     psm_star,
     psm_star_greedy,
     psm_star_single_tree,
+    polyline_length,
     rewiring_radius,
+    row_norms,
     rrt_star_ik,
     rrt_star_extend,
     validate_solution,
@@ -194,6 +197,45 @@ def _old_parent_search(tree, near_id, q_new, neighbors, free):
     return q_min, checks
 
 
+def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
+    """rrt_star_extend as one loop per neighbour, each distance a scalar np.linalg.norm."""
+    q_new = np.asarray(q_new, dtype=float)
+    if not segment_free(near_id, q_new):
+        return None
+    radius = rewiring_radius(gamma, tree.real_count(), tree.dim, params.alpha)
+    neighbors = tree.near(q_new, radius)
+    q_min = near_id
+    c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
+    candidates = []
+    for i in neighbors:
+        if i == near_id:
+            continue
+        c = tree.cost[i] + float(np.linalg.norm(q_new - tree.config(i)))
+        if c < c_min:
+            candidates.append((c, i))
+    for c, i in sorted(candidates):
+        if segment_free(i, q_new):
+            q_min, c_min = i, c
+            break
+    new_id = tree.add(q_new, parent=q_min, cost=c_min)
+    for i in neighbors:
+        if i == q_min:
+            continue
+        c = c_min + float(np.linalg.norm(q_new - tree.config(i)))
+        if c < tree.cost[i] and segment_free(i, q_new):
+            tree.reparent(i, new_id, c)
+    return new_id
+
+
+@settings(deadline=None)
+@given(k=st.integers(1, 8), data=st.data())
+def test_row_norms_equal_scalar_norms_bit_for_bit(k, data):
+    value = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150))
+    d = np.array(data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=30)))
+    want = np.array([np.linalg.norm(row) for row in d])
+    assert row_norms(d).tobytes() == want.tobytes()
+
+
 class TestDelayedParentCheck:
     @settings(deadline=None)
     @given(data=st.data())
@@ -234,6 +276,72 @@ class TestDelayedParentCheck:
         assert tree.parent[new_id] == want
         assert tree.cost[new_id] == c_best
         assert len(parent_checks) - 1 <= old_checks  # the first check is near_id's
+
+    @staticmethod
+    def _extend_both(build, near_id, q_new, free, params, gamma):
+        """Run the per-neighbour reference and rrt_star_extend on two copies of
+        the tree ``build()`` makes; returns (tree, segment checks) of each."""
+        out = []
+        for extend in (_old_rrt_star_extend, rrt_star_extend):
+            tree, checks = build(), []
+
+            def segment_free(i, q):
+                checks.append(i)
+                return free[i]
+
+            extend(tree, near_id, q_new, segment_free, params, gamma)
+            out.append((tree, checks))
+        return out
+
+    @staticmethod
+    def _assert_same_tree(a, b):
+        assert a.parent == b.parent
+        assert a.cost == b.cost  # exact: the same float operations in the same order
+        assert a.children == b.children
+        assert np.array_equal(a.configs, b.configs)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_same_parent_rewires_and_costs_as_per_neighbour_loop(self, data):
+        # grid coordinates make ties likely; random parents make neighbours that
+        # hang below other neighbours, whose costs fall when those are rewired
+        point = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: 0.5 * np.array(p, dtype=float))
+        n = data.draw(st.integers(1, 25))
+        nodes = [(data.draw(point), -1)] + [(data.draw(point), data.draw(st.integers(0, k - 1)))
+                                            for k in range(1, n)]
+
+        def build():
+            tree = Tree(2)
+            for q, parent in nodes:
+                cost = 0.0 if parent < 0 else tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent)))
+                tree.add(q, parent=parent, cost=cost)
+            return tree
+
+        near_id = data.draw(st.integers(0, n - 1))
+        free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        q_new = data.draw(point)
+        (old, old_checks), (new, new_checks) = self._extend_both(
+            build, near_id, q_new, free, PlannerParams(alpha=2.0), gamma=100.0)
+        assert new_checks == old_checks
+        self._assert_same_tree(old, new)
+
+    def test_neighbour_below_a_rewired_neighbour_is_tested_at_its_lowered_cost(self):
+        # root 0 -> detour 1 (x=5) -> a 2 (x=3) -> b 3 (x=3.5); q_new at x=1 rewires a,
+        # which lowers b's cost to exactly its cost through q_new: b must not be checked
+        def build():
+            tree = Tree(1)
+            tree.add(np.array([0.0]), parent=-1, cost=0.0)
+            tree.add(np.array([5.0]), parent=0, cost=5.0)
+            tree.add(np.array([3.0]), parent=1, cost=7.0)
+            tree.add(np.array([3.5]), parent=2, cost=7.5)
+            return tree
+
+        (old, old_checks), (new, new_checks) = self._extend_both(
+            build, 0, np.array([1.0]), [True] * 4, PlannerParams(alpha=10.0), gamma=100.0)
+        assert new_checks == old_checks == [0, 2]
+        self._assert_same_tree(old, new)
+        assert new.parent[2] == 4 and new.parent[3] == 2
+        assert new.cost == [0.0, 5.0, 3.0, 3.5, 1.0]
 
 
 class TestDegenerateTasks:
@@ -379,6 +487,37 @@ class TestThetaTaskComparisons:
                 pass
         assert len(ik_costs) >= 3
         assert np.mean(ik_costs) >= np.mean(psm_costs)
+
+
+def test_ik_goal_connection_is_cheapest_after_rewiring(monkeypatch):
+    # rewiring lowers the cost of nodes already linked to the IK goal; the
+    # chosen connection must be the cheapest at the end of the phase
+    trees = []
+
+    class RecordingTree(Tree):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.cost_at_add = []
+            trees.append(self)
+
+        def add(self, config, parent, cost, **kw):
+            self.cost_at_add.append(cost)
+            return super().add(config, parent, cost, **kw)
+
+    monkeypatch.setattr(planner, "Tree", RecordingTree)
+    task = build_benchmark_scene("point3d_free")  # no obstacles: every link within alpha is free
+    params = PlannerParams(m=600, seed=0)
+    path = rrt_star_ik(task, params)
+    assert len(trees) == task.n_phases
+    stale = 0
+    for tree, (a, b) in zip(trees, path.segments()):
+        goal = path.configs[b]
+        links = [(float(np.linalg.norm(tree.config(j) - goal)), j) for j in range(len(tree))]
+        links = [(gd, j) for gd, j in links if gd <= params.alpha]
+        assert polyline_length(path.configs[a:b + 1]) == pytest.approx(
+            min(tree.cost[j] + gd for gd, j in links), abs=1e-9)
+        stale += sum(tree.cost[j] < tree.cost_at_add[j] for _, j in links)
+    assert stale  # some linked node did get cheaper after it was linked
 
 
 class TestPlannerParamsValidation:

@@ -1,8 +1,11 @@
 """Obstacles, collision checking, free-space transitions, and scene builders."""
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmp import kinematics as kin
 from seqmp.manifolds import evaluate
@@ -14,7 +17,9 @@ from seqmp.scene import (
     available_scenes,
     build_benchmark_scene,
     collision_free_segment,
+    collision_points,
     export_scene_json,
+    point_free,
     task_from_dict,
     task_to_dict,
 )
@@ -77,6 +82,87 @@ class TestCollisionFreeSegment:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             collision_free_segment((0, 0, 0), (1, 0, 0), FreeSpaceState(), step=0.0)
+
+
+def _contains_oracle(points, fs):
+    """point_free as one ObstacleAABB.contains test per obstacle."""
+    return not any(np.any(ob.contains(points)) for ob in fs.obstacles)
+
+
+class TestPointFree:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_per_obstacle_contains(self, data):
+        coord = st.integers(-8, 8).map(lambda v: 0.25 * v)  # a grid, so points often sit on faces
+        d = data.draw(st.integers(1, 4))
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            lo = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+            size = np.array(data.draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))) * 0.25
+            boxes.append(ObstacleAABB(tuple(lo), tuple(lo + size)))
+        fs = FreeSpaceState(obstacles=tuple(boxes))
+        pts = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12)))
+        # a point on a face of some box counts as free
+        ob = data.draw(st.sampled_from(boxes))
+        face = 0.5 * (np.asarray(ob.min_corner) + np.asarray(ob.max_corner))
+        axis = data.draw(st.integers(0, d - 1))
+        face[axis] = data.draw(st.sampled_from([ob.min_corner[axis], ob.max_corner[axis]]))
+        pts = np.vstack([pts, face])
+        assert point_free(pts, fs) == _contains_oracle(pts, fs)
+        for p in pts:
+            assert point_free(p, fs) == _contains_oracle(p, fs)
+
+    def test_face_points_are_free(self):
+        fs = FreeSpaceState(obstacles=(ObstacleAABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),))
+        assert point_free(np.array([[1.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]), fs) is True
+        assert point_free(np.array([[1.0, 0.5, 0.5], [0.5, 0.5, 0.5]]), fs) is False
+
+    def test_no_obstacles(self):
+        assert point_free(RNG.uniform(-1, 1, (5, 3)), FreeSpaceState()) is True
+
+    @pytest.mark.parametrize("name", ["transport_a_mini", "transport_b_mini"])
+    def test_kinematic_point_batches(self, name):
+        task = build_benchmark_scene(name)
+        fs = apply_transition(task.free_space, task.transitions[0], task.start(), task.system)
+        # a box around the carried object's centre at the start, so some batches collide
+        center = collision_points(task.start(), fs, task.system)[-1]
+        probe = ObstacleAABB(tuple(center - 0.1), tuple(center + 0.1), name="probe")
+        fs = FreeSpaceState(obstacles=fs.obstacles + (probe,), attachments=fs.attachments)
+        verdicts = []
+        for _ in range(40):
+            qs = task.start() + RNG.uniform(-0.3, 0.3, (int(RNG.integers(1, 8)), task.ambient_dim))
+            pts = collision_points(qs, fs, task.system)
+            verdicts.append(point_free(pts, fs))
+            assert verdicts[-1] == _contains_oracle(pts, fs)
+        assert any(verdicts) and not all(verdicts)
+
+
+class TestPackedCorners:
+    def test_equality_hash_and_pickle_unchanged(self):
+        fs = build_benchmark_scene("point3d_obstacles").free_space
+        same = FreeSpaceState(obstacles=fs.obstacles)
+        fs.corners
+        assert fs == same and hash(fs) == hash(same)
+        assert repr(fs) == repr(same)
+        clone = pickle.loads(pickle.dumps(fs))
+        assert clone == same and hash(clone) == hash(same)
+        for a, b in zip(clone.corners, same.corners):
+            assert np.array_equal(a, b)
+
+    def test_transitions_repack_their_obstacles(self):
+        task = build_benchmark_scene("transport_a_mini")
+        fs = task.free_space
+        states = [fs]
+        for rule, q in zip(task.transitions, (task.start(), np.array([0.2, 0.5, -0.8, 0.1]))):
+            fs.corners  # packed before the transition; the new state must pack its own
+            fs = apply_transition(fs, rule, q, task.system)
+            states.append(fs)
+        assert [len(s.obstacles) for s in states] == [2, 1, 2]
+        for s in states:
+            lo, hi = s.corners
+            assert lo.shape == hi.shape == (len(s.obstacles), 1, 3)
+            assert np.array_equal(lo[:, 0], [ob.min_corner for ob in s.obstacles])
+            assert np.array_equal(hi[:, 0], [ob.max_corner for ob in s.obstacles])
 
 
 class TestKinematicSegmentCheck:
