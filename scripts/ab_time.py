@@ -7,8 +7,10 @@ Loads ``OLD_ROOT/src/seqmp`` and ``NEW_ROOT/src/seqmp`` side by side (as the
 packages ``seqmp_old`` and ``seqmp_new``) and runs the planner jobs of one
 ``perfbench/workloads.py`` workload through both, job by job, flipping which
 side goes first on every job. Prints the ratio new/old of each repetition's
-summed wall time (median and quartiles) and checks that both sides return
-the same path digest for every job; exits 1 if any digest differs.
+summed wall time (median and quartiles), each side's success count and mean
+path cost over the jobs, and checks that both sides return the same path
+digest for every job; exits 1 if any digest differs. A change that moves
+paths only in the last bits shows as differing digests with equal costs.
 
 This is for sizing a change only. It skips what the benchmark does to make
 timings comparable across runs (a fresh process per run, the speed probe,
@@ -62,6 +64,7 @@ def main():
     jobs = [job for group in job_groups(workload, args.seed) for job in group]
 
     ratios, mismatches = [], set()
+    costs = ({}, {})  # per side: job -> path cost, None for no path
     for rep in range(args.reps):
         wall = [0.0, 0.0]
         for j, (planner, seed) in enumerate(jobs):
@@ -72,6 +75,7 @@ def main():
                     print(f"{('old', 'new')[s]} {planner} seed {seed}: {error.strip().splitlines()[-1]}")
                 wall[s] += seconds
                 digests[s] = digest(path)
+                costs[s][planner, seed] = None if path is None else path.total_cost
             if digests[0] != digests[1]:
                 mismatches.add((planner, seed))
         ratios.append(wall[1] / wall[0])
@@ -80,6 +84,10 @@ def main():
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps; new/old median {median:.3f} "
           f"(quartiles {q1:.3f}-{q3:.3f})")
+    for side, side_costs in zip(("old", "new"), costs):
+        found = [c for c in side_costs.values() if c is not None]
+        mean = f"{statistics.fmean(found):.6f}" if found else "-"
+        print(f"{side}: success {len(found)}/{len(side_costs)} jobs, mean cost {mean}")
     for planner, seed in sorted(mismatches):
         print(f"DIGEST DIFFERS: {planner} seed {seed}")
     print(f"digests: {len(jobs) - len(mismatches)}/{len(jobs)} jobs equal")

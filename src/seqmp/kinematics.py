@@ -34,15 +34,25 @@ def _rotation(axis, angle):
     ])
 
 
-def _rotations(axis, angles):
+_I3 = np.eye(3)
+_I3.flags.writeable = False
+
+
+def _rodrigues_terms(axis):
+    """The angle-free terms ([a]x, a a^T) of a rotation about the unit axis a."""
+    x, y, z = axis
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]), np.outer(axis, axis)
+
+
+def _rotations(terms, angles):
     """Rotation matrices about one unit axis for a batch of angles, shape (n, 3, 3).
 
-    Same entries as ``_rotation``: c*I + s*[a]x + (1 - c)*a a^T.
+    ``terms`` is ``_rodrigues_terms(axis)``. Same entries as ``_rotation``:
+    c*I + s*[a]x + (1 - c)*a a^T.
     """
-    x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    K, aa = terms
     c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
-    return (c * np.eye(3) + s * K) + (1.0 - c) * np.outer(axis, axis)
+    return (c * _I3 + s * K) + (1.0 - c) * aa
 
 
 def _cross(a, b):
@@ -89,6 +99,7 @@ class SerialChain:
         object.__setattr__(self, "_origins", [np.asarray(j.origin, dtype=float) for j in self.joints])
         object.__setattr__(self, "_axes", [np.asarray(j.axis, dtype=float) for j in self.joints])
         object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
+        object.__setattr__(self, "_rodrigues", [_rodrigues_terms(a) for a in self._axes])  # built once, not per FK
         # (configuration bytes, fk_frames result) of the last fk_frames call; one
         # tuple replaced whole, so a reader never sees half of an update
         object.__setattr__(self, "_fk_memo", (None, None))
@@ -120,7 +131,7 @@ class SerialChain:
         if key == memo_key:
             return memo
         p = self._base
-        R = np.eye(3)
+        R = _I3
         pts = [p]
         axes = []
         for origin, axis, revolute, qi in zip(self._origins, self._axes, self._revolute, q):
@@ -148,12 +159,13 @@ class SerialChain:
         Q = np.asarray(Q, dtype=float)
         n = Q.shape[0]
         p = np.broadcast_to(self._base, (n, 3))
-        R = np.broadcast_to(np.eye(3), (n, 3, 3))
+        R = np.broadcast_to(_I3, (n, 3, 3))
         pts = [p]
-        for j, (origin, axis, revolute) in enumerate(zip(self._origins, self._axes, self._revolute)):
+        for j, (origin, axis, revolute, terms) in enumerate(zip(self._origins, self._axes, self._revolute,
+                                                                 self._rodrigues)):
             p = p + R @ origin
             if revolute:
-                R = R @ _rotations(axis, Q[:, j])
+                R = R @ _rotations(terms, Q[:, j])
             else:
                 p = p + R @ axis * Q[:, j, None]
             pts.append(p)

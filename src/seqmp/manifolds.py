@@ -68,13 +68,44 @@ def fd_jacobian(m, q, step=1e-5):
     return J
 
 
+def newton_step(J, h, sv_tol=DEFAULT_SV_TOL):
+    """Minimum-norm solution s of J s = h, the step ``pinv(J, rcond=sv_tol) @ h``.
+
+    A one-row J = g^T gives the closed form g (g.h) / (g.g), and zero when
+    g = 0. More rows go to LAPACK's least squares (gelsd), which drops the
+    singular values <= sv_tol times the largest, the cut-off pinv uses, so
+    overdetermined stacks and singular poses take the same step.
+    """
+    if J.shape[0] == 1:
+        g = J[0]
+        gg = g @ g
+        if gg == 0.0:
+            return np.zeros_like(g)
+        return g * (h[0] / gg)
+    return np.linalg.lstsq(J, h, rcond=sv_tol)[0]
+
+
+def tangent_component(g, d):
+    """Projection of d onto the tangent space null(g^T) of a one-row constraint.
+
+    Returns d - g (g.d) / (g.g), or d itself when g = 0: the vector B B^T d
+    that the basis B of ``tangent_nullspace`` gives, without building B.
+    """
+    gg = g @ g
+    if gg == 0.0:
+        return d
+    return d - g * ((g @ d) / gg)
+
+
 def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
     """Newton-style projection of ``q`` onto the manifold ``m``.
 
-    Iterates q <- q - pinv(J(q)) h(q) until ||h(q)|| <= eps. Returns the
-    projected configuration, or None when the iteration does not converge
-    (the caller discards the sample). The pseudo-inverse is SVD-based with
-    singular values below ``sv_tol`` relative to the largest treated as zero.
+    Iterates q <- q - s with s the minimum-norm solution of J(q) s = h(q)
+    (``newton_step``: closed form for one row, least squares otherwise, with
+    singular values below ``sv_tol`` relative to the largest treated as
+    zero) until ||h(q)|| <= eps. Returns the projected configuration, or
+    None when the iteration does not converge (the caller discards the
+    sample).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -89,7 +120,7 @@ def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
     for _ in range(max_iters):
         J = np.asarray(m.jacobian(q), dtype=float)
         try:
-            step = np.linalg.pinv(J, rcond=sv_tol) @ res
+            step = newton_step(J, res, sv_tol)
         except np.linalg.LinAlgError:
             return None
         q = q - step
@@ -115,7 +146,8 @@ def tangent_nullspace(m, q, sv_tol=DEFAULT_SV_TOL):
     """Orthonormal basis of the tangent space null(J(q)), shape (k, k - rank).
 
     Rank is the number of singular values above ``sv_tol`` times the largest.
-    A zero Jacobian yields the full identity basis.
+    A zero Jacobian yields the full identity basis. This takes a full SVD;
+    a one-row constraint that only needs B B^T d has ``tangent_component``.
     """
     if sv_tol <= 0:
         raise ValueError("sv_tol must be positive")

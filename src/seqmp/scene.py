@@ -473,8 +473,10 @@ def _system_to_dict(system):
 
 
 def _from_entries(what, entries, build):
-    """``build`` of each entry; an entry that is not an object or lacks a key
-    ends in a ValueError naming it."""
+    """``build`` of each entry; an entry that is not an object, lacks a key or
+    holds a bad value ends in a ValueError naming it."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what} entries must be a list, got {entries!r}")
     out = []
     for k, e in enumerate(entries):
         if not isinstance(e, dict):
@@ -483,14 +485,19 @@ def _from_entries(what, entries, build):
             out.append(build(e))
         except KeyError as err:
             raise ValueError(f"{what} {k} lacks key {err.args[0]!r}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{what} {k}: {err}") from None
     return tuple(out)
 
 
 def _system_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"scene 'system' must be an object, got {d!r}")
     if "chains" not in d:
         raise ValueError("scene 'system' lacks key 'chains'")
     return kin.MultiRobotSystem(chains=_from_entries("system chain", d["chains"], lambda cd: kin.SerialChain(
-        joints=tuple(kin.Joint(tuple(j["axis"]), j["type"], tuple(j["origin"])) for j in cd["joints"]),
+        joints=_from_entries("joint", cd["joints"], lambda j: kin.Joint(tuple(j["axis"]), j["type"],
+                                                                        tuple(j["origin"]))),
         base=tuple(cd["base"]),
         tool=tuple(cd["tool"]),
         limits=tuple(tuple(l) for l in cd["limits"]),

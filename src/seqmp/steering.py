@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Intersection, evaluate, project, tangent_nullspace
+from .manifolds import Intersection, evaluate, project, tangent_component, tangent_nullspace
 
 ZERO_DIRECTION_TOL = 1e-12
 KKT_RCOND = 1e-9
@@ -34,11 +34,17 @@ class SteerParams:
 
 
 def steer_point(q_near, q_rand, m):
-    """Orthogonal projection of (q_rand - q_near) onto the tangent space at q_near."""
+    """Orthogonal projection of (q_rand - q_near) onto the tangent space at q_near.
+
+    A one-row constraint takes the closed form of ``tangent_component``;
+    more rows take B B^T d with the basis B of ``tangent_nullspace``.
+    """
     q_near = np.asarray(q_near, dtype=float)
-    q_rand = np.asarray(q_rand, dtype=float)
+    d = np.asarray(q_rand, dtype=float) - q_near
+    if m.codim == 1:
+        return tangent_component(np.asarray(m.jacobian(q_near), dtype=float)[0], d)
     B = tangent_nullspace(m, q_near)
-    return B @ (B.T @ (q_rand - q_near))
+    return B @ (B.T @ d)
 
 
 def steer_constraint(q_near, m_i, m_next):

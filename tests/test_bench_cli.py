@@ -198,6 +198,15 @@ class TestCli:
         assert rc == 0
 
 
+# malformed scenes whose error must name the entry: case -> texts the message holds
+_NAMED_ENTRY_CASES = {
+    "system_not_an_object": ("'system'", "5"),
+    "obstacle_min_not_numeric": ("obstacle 0", "'a'"),
+    "joint_type_unknown": ("system chain 0", "joint 1", "'helical'"),
+    "manifolds_not_a_list": ("manifold entries", "5"),
+}
+
+
 def _bad_scene_files():
     from seqmp.scene import build_benchmark_scene, task_to_dict
 
@@ -241,6 +250,18 @@ def _bad_scene_files():
     d = copy.deepcopy(robot)
     d["manifolds"][0]["params"]["target"] = [0.3, 0.0, 0.3, 0.0]
     out["pick_target_wrong_length"] = d
+    d = copy.deepcopy(robot)
+    d["system"] = 5
+    out["system_not_an_object"] = d
+    d = copy.deepcopy(robot)
+    d["obstacles"][0]["min"] = ["a", 0.0, 0.0]
+    out["obstacle_min_not_numeric"] = d
+    d = copy.deepcopy(robot)
+    d["system"]["chains"][0]["joints"][1]["type"] = "helical"
+    out["joint_type_unknown"] = d
+    d = copy.deepcopy(point)
+    d["manifolds"] = 5
+    out["manifolds_not_a_list"] = d
     return out
 
 
@@ -252,14 +273,16 @@ def test_plan_on_malformed_scene_exits_2_with_message(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert all(text in err for text in _NAMED_ENTRY_CASES.get(case, ()))
 
 
 @pytest.mark.parametrize("case", sorted(_bad_scene_files()))
 def test_malformed_scene_rejected_by_loader(case):
     from seqmp.scene import task_from_dict
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         task_from_dict(_bad_scene_files()[case])
+    assert all(text in str(err.value) for text in _NAMED_ENTRY_CASES.get(case, ()))
 
 
 @pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0},

@@ -306,3 +306,38 @@ class TestFkMemo:
         assert hash(chain) == hash(planar_two_link())
         assert np.array_equal(clone.fk_frames(q)[0], chain.fk_frames(q)[0])
         assert np.array_equal(clone.fk_frames(-q)[0], planar_two_link().fk_frames(-q)[0])
+
+
+def _fk_frames_batch_rebuilding_terms(chain, Q):
+    """fk_frames_batch with the Rodrigues terms I, [a]x and a a^T rebuilt at every joint of every call."""
+    n = Q.shape[0]
+    p = np.broadcast_to(np.asarray(chain.base, dtype=float), (n, 3))
+    R = np.broadcast_to(np.eye(3), (n, 3, 3))
+    pts = [p]
+    for j, joint in enumerate(chain.joints):
+        axis = np.asarray(joint.axis, dtype=float)
+        p = p + R @ np.asarray(joint.origin, dtype=float)
+        if joint.type == kin.REVOLUTE:
+            x, y, z = axis
+            K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+            c, s = np.cos(Q[:, j])[:, None, None], np.sin(Q[:, j])[:, None, None]
+            R = R @ ((c * np.eye(3) + s * K) + (1.0 - c) * np.outer(axis, axis))
+        else:
+            p = p + R @ axis * Q[:, j, None]
+        pts.append(p)
+    pts.append(p + R @ np.asarray(chain.tool, dtype=float))
+    return np.stack(pts, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_fk_bit_identical_to_rebuilt_rodrigues_terms(data):
+    # the per-joint terms are built once per chain; the arithmetic must not change by a bit
+    chains = (_transport_a_system().chains + _transport_b_system().chains
+              + (planar_two_link(), kin.SerialChain((kin.Joint((0.6, 0.0, 0.8), kin.REVOLUTE, (0.1, 0.2, 0.3)),),
+                                                    tool=(0.5, 0.0, 0.0))))
+    chain = data.draw(st.sampled_from(chains))
+    n = data.draw(st.integers(1, 12))
+    rows = st.lists(st.floats(-4.0, 4.0), min_size=chain.dof, max_size=chain.dof)
+    Q = np.array(data.draw(st.lists(rows, min_size=n, max_size=n))).reshape(n, chain.dof)
+    assert np.array_equal(chain.fk_frames_batch(Q), _fk_frames_batch_rebuilding_terms(chain, Q))

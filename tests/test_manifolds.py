@@ -13,9 +13,12 @@ from seqmp.manifolds import (
     Sphere,
     evaluate,
     fd_jacobian,
+    newton_step,
     project,
+    tangent_component,
     tangent_nullspace,
 )
+from seqmp.scene import build_benchmark_scene
 
 RNG = np.random.default_rng(1234)
 
@@ -186,3 +189,100 @@ def test_projection_residual_property(x, y, z):
     q = project(np.array([x, y, z]), m, eps=1e-8)
     assert q is not None
     assert np.linalg.norm(evaluate(m, q)) <= 1e-8
+
+
+SV_TOL = 1e-9
+
+
+@st.composite
+def jacobian_and_rhs(draw):
+    """(J, h, d): an l x k Jacobian (l = 1..6, k = 3..8, so also l > k) that may be
+    zero, have a repeated or a zero row, or have small-integer entries (often rank
+    deficient), with a right-hand side h (l,) and a direction d (k,)."""
+    l, k = draw(st.integers(1, 6)), draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "zero", "repeated_row", "zero_row"]))
+    if kind == "integer":
+        J = rng.integers(-2, 3, size=(l, k)).astype(float)
+    else:
+        J = rng.normal(size=(l, k)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if kind == "zero":
+        J[:] = 0.0
+    elif kind == "repeated_row" and l > 1:
+        J[draw(st.integers(1, l - 1))] = J[0]
+    elif kind == "zero_row":
+        J[draw(st.integers(0, l - 1))] = 0.0
+    return J, rng.normal(size=l), rng.normal(size=k)
+
+
+def _close(got, want, rel=1e-9):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want) or np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_and_rhs())
+def test_newton_step_is_the_pseudo_inverse_step(case):
+    J, h, _ = case
+    want = np.linalg.pinv(J, rcond=SV_TOL) @ h
+    got = newton_step(J, h, SV_TOL)
+    assert got.shape == want.shape
+    assert _close(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_and_rhs())
+def test_tangent_component_is_the_basis_projection(case):
+    J, _, d = case
+    g = J[0]
+    B = tangent_nullspace(AffinePlane(g[None], [0.0]), np.zeros(g.size), sv_tol=SV_TOL)
+    got = tangent_component(g, d)
+    assert _close(got, B @ (B.T @ d))
+    assert abs(g @ got) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(d)
+    assert _close(tangent_component(g, got), got)
+
+
+def _project_pinv(q, m, eps, max_iters=200, patience=10):
+    """Newton projection as it was with an explicit pseudo-inverse per step: the oracle."""
+    q = np.array(q, dtype=float)
+    res = evaluate(m, q)
+    norm = np.linalg.norm(res)
+    if norm <= eps:
+        return q
+    increases = 0
+    for _ in range(max_iters):
+        q = q - np.linalg.pinv(np.asarray(m.jacobian(q), dtype=float), rcond=SV_TOL) @ res
+        if not np.all(np.isfinite(q)):
+            return None
+        res = evaluate(m, q)
+        new_norm = np.linalg.norm(res)
+        if not np.isfinite(new_norm):
+            return None
+        if new_norm <= eps:
+            return q
+        increases = increases + 1 if new_norm >= norm else 0
+        if increases >= patience:
+            return None
+        norm = new_norm
+    return None
+
+
+def _point_scene_manifolds():
+    """Every manifold of the built-in point scenes and each pair of consecutive ones intersected."""
+    out = []
+    for name in ("point3d_free", "plane_cylinder_point"):
+        ms = build_benchmark_scene(name).manifolds
+        out += list(ms) + [Intersection(a, b) for a, b in zip(ms, ms[1:])]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.lists(st.floats(-6, 6), min_size=3, max_size=3),
+       st.sampled_from([1e-2, 1e-5, 1e-9]))
+def test_project_converges_wherever_the_pseudo_inverse_projection_did(index, q, eps):
+    ms = _point_scene_manifolds()
+    m = ms[index % len(ms)]
+    old = _project_pinv(q, m, eps)
+    new = project(q, m, eps)
+    if old is not None:
+        assert new is not None, m.name
+        assert np.linalg.norm(evaluate(m, new)) <= eps
