@@ -42,8 +42,7 @@ class RunRecord:
 
 
 def default_params(task, seed=0):
-    base = PROFILE_DEFAULTS.get(task.profile, PROFILE_DEFAULTS["point"])
-    return replace(base, seed=seed)
+    return replace(PROFILE_DEFAULTS[task.profile], seed=seed)
 
 
 def params_with_overrides(task, overrides=None, seed=None):

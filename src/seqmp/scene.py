@@ -1,15 +1,22 @@
-"""Obstacles, collision checking, free-space transitions, benchmark scenes.
+"""Obstacles, collision checking, free-space transitions, the scene loader
+and the built-in scenes.
 
 The free configuration space is represented by a set of axis-aligned boxes
 plus attachment records for objects currently carried by a robot body. A
 TransitionRule describes how the free space changes when a manifold
 intersection is reached (attach/detach of objects). FreeSpaceState is an
 immutable value; transitions return new states.
+
+Every Task is built by one loader, ``task_from_dict``, from a scene
+description dict (the JSON schema of scene files). The built-in scenes are
+such dicts, stored in ``SCENES``: ``build_benchmark_scene`` loads one and
+``export_scene_json`` prints it unchanged.
 """
 from __future__ import annotations
 
-import copy
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -19,6 +26,7 @@ from . import kinematics as kin
 from .manifolds import (AffinePlane, Cylinder, Paraboloid, PointGoal)
 
 DEFAULT_COLLISION_STEP = 0.05
+PROFILES = ("point", "robot")  # which planner defaults a scene runs with
 
 
 @dataclass(frozen=True)
@@ -238,239 +246,8 @@ class Task:
 
 
 # ---------------------------------------------------------------------------
-# Built-in benchmark scenes
-# ---------------------------------------------------------------------------
-
-POINT3D_START = (3.5, 3.5, 4.45)
-POINT3D_GOAL = (-3.5, -3.5, -4.45)
-
-# Box layout for the obstacle variant: boxes centered on the upper (z=2.4)
-# and lower (z=-2.4) intersection circles at azimuths 45 and 225 degrees.
-# The xy half-width of 1.4 covers almost a full quadrant of each circle, so
-# the straight-down crossings are blocked and paths must detour around the
-# cylinder. Held fixed for the acceptance runs.
-_C = 2.0 * np.cos(np.pi / 4.0)
-POINT3D_BOXES = (
-    (( _C,  _C,  2.4), (1.4, 1.4, 1.0)),
-    ((-_C, -_C,  2.4), (1.4, 1.4, 1.0)),
-    ((-_C, -_C, -2.4), (1.4, 1.4, 1.0)),
-    (( _C,  _C, -2.4), (1.4, 1.4, 1.0)),
-)
-
-
-def _point3d_manifolds():
-    return (
-        Paraboloid(0.1, 2.0, name="paraboloid_up"),
-        Cylinder(0.25, 1.0, name="cylinder_r2"),
-        Paraboloid(-0.1, -2.0, name="paraboloid_down"),
-        PointGoal(POINT3D_GOAL),
-    )
-
-
-def _box(center, half, name=""):
-    c = np.asarray(center, dtype=float)
-    h = np.broadcast_to(np.asarray(half, dtype=float), c.shape)
-    return ObstacleAABB(tuple(c - h), tuple(c + h), name=name)
-
-
-def _build_point3d(with_obstacles):
-    obstacles = ()
-    if with_obstacles:
-        obstacles = tuple(_box(c, h, name=f"box{i}") for i, (c, h) in enumerate(POINT3D_BOXES))
-    return Task(
-        name="point3d_obstacles" if with_obstacles else "point3d_free",
-        manifolds=_point3d_manifolds(),
-        q_start=POINT3D_START,
-        bounds=((-6.0, 6.0),) * 3,
-        free_space=FreeSpaceState(obstacles=obstacles),
-        profile="point",
-    )
-
-
-def _build_plane_cylinder_point():
-    manifolds = (
-        AffinePlane([[0.0, 0.0, 1.0]], [0.0], name="plane_z0"),
-        Cylinder(1.0, 1.0, name="unit_cylinder"),
-        PointGoal((1.0, 0.0, 2.0)),
-    )
-    return Task(
-        name="plane_cylinder_point",
-        manifolds=manifolds,
-        q_start=(-2.0, 0.0, 0.0),
-        bounds=((-3.0, 3.0),) * 3,
-        profile="point",
-    )
-
-
-def _transport_a_system():
-    arm = kin.SerialChain(
-        joints=(
-            kin.Joint((0.0, 0.0, 1.0), kin.REVOLUTE, (0.0, 0.0, 0.2)),
-            kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.0, 0.0, 0.1)),
-            kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.4, 0.0, 0.0)),
-            kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.4, 0.0, 0.0)),
-        ),
-        base=(0.0, 0.0, 0.0),
-        tool=(0.2, 0.0, 0.0),
-        limits=((-np.pi, np.pi), (-2.2, 2.2), (-2.2, 2.2), (-2.2, 2.2)),
-    )
-    return kin.MultiRobotSystem(chains=(arm,))
-
-
-def _build_transport_a():
-    system = _transport_a_system()
-    q_start = np.array([0.6, 0.8, -1.0, 0.0])
-    x_obj = kin.fk_position(system, 0, (0.0, 0.0, 0.0), q_start)
-    x_place = np.array([-0.7, -0.35, 0.25])
-    manifolds = (
-        kin.pick_constraint(system, 0, x_obj, name="pick"),
-        kin.orientation_constraint(system, 0, name="carry_upright"),
-        kin.pick_constraint(system, 0, x_place, name="place"),
-    )
-    manifolds[0].scene_spec = {"type": "pick", "name": "pick", "params": {"chain": 0, "target": list(x_obj)}}
-    manifolds[1].scene_spec = {"type": "orientation", "name": "carry_upright", "params": {"chain": 0}}
-    manifolds[2].scene_spec = {"type": "pick", "name": "place", "params": {"chain": 0, "target": list(x_place)}}
-    obj_half = np.array([0.05, 0.05, 0.05])
-    obj_center = x_obj - np.array([0.0, 0.0, 0.02 + obj_half[2]])
-    obstacles = (
-        _box(obj_center, obj_half, name="obj1"),
-        _box((-0.40, 0.69, 0.25), (0.08, 0.08, 0.25), name="pillar"),
-    )
-    transitions = (
-        TransitionRule(0, {"type": "attach", "object": "obj1", "body": 0}),
-        TransitionRule(1, {"type": "detach", "object": "obj1"}),
-    )
-    return Task(
-        name="transport_a_mini",
-        manifolds=manifolds,
-        q_start=tuple(q_start),
-        bounds=tuple(map(tuple, system.joint_limits())),
-        free_space=FreeSpaceState(obstacles=obstacles),
-        transitions=transitions,
-        system=system,
-        profile="robot",
-    )
-
-
-def _transport_b_system():
-    def arm(base_x):
-        return kin.SerialChain(
-            joints=(
-                kin.Joint((0.0, 0.0, 1.0), kin.REVOLUTE, (0.0, 0.0, 0.2)),
-                kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.0, 0.0, 0.0)),
-                kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.4, 0.0, 0.0)),
-            ),
-            base=(base_x, 0.0, 0.0),
-            tool=(0.4, 0.0, 0.0),
-            limits=((-np.pi, np.pi), (-2.2, 2.2), (-2.2, 2.2)),
-        )
-
-    mobile = kin.SerialChain(
-        joints=(
-            kin.Joint((1.0, 0.0, 0.0), kin.PRISMATIC, (0.0, 0.0, 0.0)),
-            kin.Joint((0.0, 1.0, 0.0), kin.PRISMATIC, (0.0, 0.0, 0.0)),
-        ),
-        base=(0.0, 0.0, 0.0),
-        tool=(0.0, 0.0, 0.35),
-        limits=((-1.0, 1.0), (-1.0, 1.0)),
-    )
-    return kin.MultiRobotSystem(chains=(arm(-0.55), arm(0.55), mobile))
-
-
-def _build_transport_b():
-    system = _transport_b_system()
-    # arm1 starts at the elbow-flipped grasp of the object; the upright
-    # solution (0.5, -0.6, 0.6) reaches the same point with zero tilt.
-    q_arm1 = np.array([0.5, 0.0, -0.6])
-    q_arm2 = np.array([2.5, 0.4, 0.4])
-    q_base = np.array([0.5, -0.5])
-    q_start = np.concatenate([q_arm1, q_arm2, q_base])
-    x_obj = kin.fk_position(system, 0, (0.0, 0.0, 0.0), q_start)
-    x_goal = np.array([0.9, -0.35, 0.35])
-    manifolds = (
-        kin.pick_constraint(system, 0, x_obj, name="pick"),
-        kin.orientation_constraint(system, 0, name="carry_upright"),
-        kin.handover_constraint(system, 0, 2, name="arm1_to_tray"),
-        kin.handover_constraint(system, 1, 2, name="arm2_from_tray"),
-        kin.pick_constraint(system, 1, x_goal, name="place"),
-    )
-    manifolds[0].scene_spec = {"type": "pick", "name": "pick", "params": {"chain": 0, "target": list(x_obj)}}
-    manifolds[1].scene_spec = {"type": "orientation", "name": "carry_upright", "params": {"chain": 0}}
-    manifolds[2].scene_spec = {"type": "handover", "name": "arm1_to_tray", "params": {"chain1": 0, "chain2": 2}}
-    manifolds[3].scene_spec = {"type": "handover", "name": "arm2_from_tray", "params": {"chain1": 1, "chain2": 2}}
-    manifolds[4].scene_spec = {"type": "pick", "name": "place", "params": {"chain": 1, "target": list(x_goal)}}
-    obj_half = np.array([0.04, 0.04, 0.04])
-    obj_center = x_obj - np.array([0.0, 0.0, 0.02 + obj_half[2]])
-    obstacles = (_box(obj_center, obj_half, name="obj1"),)
-    transitions = (
-        TransitionRule(0, {"type": "attach", "object": "obj1", "body": 0}),
-        TransitionRule(1, {"type": "attach", "object": "obj1", "body": 2}),
-        TransitionRule(2, {"type": "attach", "object": "obj1", "body": 1}),
-        TransitionRule(3, {"type": "detach", "object": "obj1"}),
-    )
-    return Task(
-        name="transport_b_mini",
-        manifolds=manifolds,
-        q_start=tuple(q_start),
-        bounds=tuple(map(tuple, system.joint_limits())),
-        free_space=FreeSpaceState(obstacles=obstacles),
-        transitions=transitions,
-        system=system,
-        profile="robot",
-    )
-
-
-_BUILDERS = {
-    "point3d_free": lambda: _build_point3d(False),
-    "point3d_obstacles": lambda: _build_point3d(True),
-    "plane_cylinder_point": _build_plane_cylinder_point,
-    "transport_a_mini": _build_transport_a,
-    "transport_b_mini": _build_transport_b,
-}
-
-
-def available_scenes():
-    return sorted(_BUILDERS)
-
-
-def build_benchmark_scene(name):
-    """Construct a built-in scene by identifier."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown scene {name!r}; available: {', '.join(available_scenes())}") from None
-    return builder()
-
-
-# ---------------------------------------------------------------------------
 # Scene description files (JSON)
 # ---------------------------------------------------------------------------
-
-def _manifold_to_dict(m):
-    if isinstance(m, Paraboloid):
-        t, p = "paraboloid", {"coeff": m.coeff, "offset": m.offset}
-    elif isinstance(m, Cylinder):
-        t, p = "cylinder", {"coeff": m.coeff, "rhs": m.rhs}
-    elif isinstance(m, PointGoal):
-        t, p = "goal_point", {"target": list(m.target)}
-    elif isinstance(m, AffinePlane):
-        t, p = "plane", {"A": m.A.tolist(), "b": m.b.tolist()}
-    else:
-        raise ValueError(f"manifold {m.name!r} has no scene-file representation")
-    return {"type": t, "name": m.name, "params": p}
-
-
-def _system_to_dict(system):
-    chains = []
-    for c in system.chains:
-        chains.append({
-            "joints": [{"axis": list(j.axis), "type": j.type, "origin": list(j.origin)} for j in c.joints],
-            "base": list(c.base),
-            "tool": list(c.tool),
-            "limits": [list(l) for l in c.joint_limits()],
-        })
-    return {"chains": chains}
-
 
 def _from_entries(what, entries, build):
     """``build`` of each entry; an entry that is not an object, lacks a key or
@@ -504,33 +281,10 @@ def _system_from_dict(d):
     )))
 
 
-def task_to_dict(task):
-    """Serialize a task to the scene description schema."""
-    d = {
-        "name": task.name,
-        "ambient_dim": task.ambient_dim,
-        "bounds": [list(b) for b in task.bounds],
-        "start": list(task.q_start),
-        "obstacles": [
-            {"min": list(o.min_corner), "max": list(o.max_corner), "name": o.name}
-            for o in task.free_space.obstacles
-        ],
-        "transitions": [{"trigger": r.trigger, "effect": dict(r.effect)} for r in task.transitions],
-        "collision_step": task.collision_step,
-        "profile": task.profile,
-    }
-    if task.system is None:
-        d["manifolds"] = [_manifold_to_dict(m) for m in task.manifolds]
-    else:
-        d["system"] = _system_to_dict(task.system)
-        manifolds = []
-        for m in task.manifolds:
-            desc = getattr(m, "scene_spec", None)
-            if desc is None:
-                raise ValueError(f"kinematic manifold {m.name!r} lacks a scene_spec")
-            manifolds.append(copy.deepcopy(desc))
-        d["manifolds"] = manifolds
-    return d
+def _check_chain_index(what, value, system):
+    n = 0 if system is None else len(system.chains)
+    if not (isinstance(value, int) and 0 <= value < n):
+        raise ValueError(f"{what} {value!r} is not a chain index of the {n}-chain system")
 
 
 def _manifold_from_dict(d, system):
@@ -551,24 +305,39 @@ def _manifold_from_dict(d, system):
             if system is None:
                 raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
             for key in ("chain", "chain1", "chain2"):
-                if key in p and not (isinstance(p[key], int) and 0 <= p[key] < len(system.chains)):
-                    raise ValueError(f"{t} manifold {d.get('name', t)!r}: {key} {p[key]!r} is not a chain index "
-                                     f"of the {len(system.chains)}-chain system")
+                if key in p:
+                    _check_chain_index(f"{t} manifold {d.get('name', t)!r}: {key}", p[key], system)
             if t == "pick" and np.shape(p["target"]) != (3,):
                 raise ValueError(f"pick manifold {d.get('name', t)!r}: target must be a workspace point "
                                  f"of 3 coordinates, got {p['target']!r}")
         if t == "pick":
-            m = kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
-        elif t == "handover":
-            m = kin.handover_constraint(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
-        elif t == "orientation":
-            m = kin.orientation_constraint(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)), name=d.get("name", "orientation"))
-        else:
-            raise ValueError(f"unknown manifold type {t!r}")
+            return kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
+        if t == "handover":
+            return kin.handover_constraint(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
+        if t == "orientation":
+            return kin.orientation_constraint(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)),
+                                              name=d.get("name", "orientation"))
     except KeyError as e:
         raise ValueError(f"{t} manifold {d.get('name', t)!r} lacks params key {e.args[0]!r}") from None
-    m.scene_spec = copy.deepcopy(d)
-    return m
+    raise ValueError(f"unknown manifold type {t!r}")
+
+
+# the keys each transition effect type holds besides "type"
+_EFFECT_KEYS = {"none": (), "attach": ("object", "body"), "detach": ("object",)}
+
+
+def _transition_from_dict(r, system):
+    """A TransitionRule whose effect is a new dict of the checked keys only."""
+    e = r["effect"]
+    if not isinstance(e, dict):
+        raise ValueError(f"effect must be an object, got {e!r}")
+    kind = e.get("type", "none")
+    if kind not in _EFFECT_KEYS:
+        raise ValueError(f"unknown effect type {kind!r}; choose from {', '.join(_EFFECT_KEYS)}")
+    effect = {"type": kind, **{key: e[key] for key in _EFFECT_KEYS[kind]}}
+    if kind == "attach":
+        _check_chain_index("attach body", effect["body"], system)
+    return TransitionRule(r["trigger"], effect)
 
 
 def task_from_dict(d):
@@ -576,8 +345,10 @@ def task_from_dict(d):
 
     Raises ValueError naming the problem when a required key (manifold
     params included) is missing, an entry is not an object, a kinematic
-    manifold has no system to act on, or the manifolds, ``start`` and
-    ``bounds`` disagree on the number of configuration coordinates.
+    manifold or an attach effect has no system to act on, the manifolds,
+    ``start`` and ``bounds`` disagree on the number of configuration
+    coordinates, or ``profile``, ``collision_step`` or a transition effect
+    holds a value outside its allowed set.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")
@@ -601,8 +372,13 @@ def task_from_dict(d):
             raise ValueError(f"bounds entry {j} must be a [lo, hi] pair, got {b!r}")
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
         tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
-    transitions = _from_entries("transition", d.get("transitions", ()),
-                                lambda r: TransitionRule(r["trigger"], r["effect"]))
+    transitions = _from_entries("transition", d.get("transitions", ()), lambda r: _transition_from_dict(r, system))
+    step = d.get("collision_step", DEFAULT_COLLISION_STEP)
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (math.isfinite(step) and step > 0):
+        raise ValueError(f"scene 'collision_step' must be a positive finite number, got {step!r}")
+    profile = d.get("profile", "point")
+    if profile not in PROFILES:
+        raise ValueError(f"scene 'profile' must be one of {', '.join(PROFILES)}, got {profile!r}")
     return Task(
         name=d.get("name", "scene"),
         manifolds=manifolds,
@@ -610,9 +386,9 @@ def task_from_dict(d):
         bounds=tuple(tuple(b) for b in d["bounds"]),
         free_space=FreeSpaceState(obstacles=obstacles),
         transitions=transitions,
-        collision_step=d.get("collision_step", DEFAULT_COLLISION_STEP),
+        collision_step=step,
         system=system,
-        profile=d.get("profile", "point"),
+        profile=profile,
     )
 
 
@@ -621,6 +397,184 @@ def load_task(path):
         return task_from_dict(json.load(f))
 
 
-def export_scene_json(name_or_task, indent=2):
-    task = name_or_task if isinstance(name_or_task, Task) else build_benchmark_scene(name_or_task)
-    return json.dumps(task_to_dict(task), indent=indent)
+# ---------------------------------------------------------------------------
+# Built-in benchmark scenes, stored in the scene description schema
+# ---------------------------------------------------------------------------
+
+SCENES = {}  # built-in scene id -> scene description
+
+SCENES["point3d_free"] = {
+    "name": "point3d_free",
+    "ambient_dim": 3,
+    "bounds": [[-6.0, 6.0], [-6.0, 6.0], [-6.0, 6.0]],
+    "start": [3.5, 3.5, 4.45],  # on the first paraboloid: 0.1 * 3.5^2 * 2 + 2 = 4.45
+    "obstacles": [],
+    "transitions": [],
+    "collision_step": 0.05,
+    "profile": "point",
+    "manifolds": [
+        {"type": "paraboloid", "name": "paraboloid_up", "params": {"coeff": 0.1, "offset": 2.0}},
+        {"type": "cylinder", "name": "cylinder_r2", "params": {"coeff": 0.25, "rhs": 1.0}},
+        {"type": "paraboloid", "name": "paraboloid_down", "params": {"coeff": -0.1, "offset": -2.0}},
+        {"type": "goal_point", "name": "goal_point", "params": {"target": [-3.5, -3.5, -4.45]}},
+    ],
+}
+
+# Box layout for the obstacle variant: boxes centered on the upper (z=2.4)
+# and lower (z=-2.4) intersection circles at azimuths 45 and 225 degrees,
+# i.e. at x = y = +-2 cos(pi/4), with half-extents (1.4, 1.4, 1.0).
+# The xy half-width of 1.4 covers almost a full quadrant of each circle, so
+# the straight-down crossings are blocked and paths must detour around the
+# cylinder. Held fixed for the acceptance runs.
+SCENES["point3d_obstacles"] = {
+    **SCENES["point3d_free"],
+    "name": "point3d_obstacles",
+    "obstacles": [
+        {"min": [0.014213562373095234, 0.014213562373095234, 1.4],
+         "max": [2.8142135623730953, 2.8142135623730953, 3.4], "name": "box0"},
+        {"min": [-2.8142135623730953, -2.8142135623730953, 1.4],
+         "max": [-0.014213562373095234, -0.014213562373095234, 3.4], "name": "box1"},
+        {"min": [-2.8142135623730953, -2.8142135623730953, -3.4],
+         "max": [-0.014213562373095234, -0.014213562373095234, -1.4], "name": "box2"},
+        {"min": [0.014213562373095234, 0.014213562373095234, -3.4],
+         "max": [2.8142135623730953, 2.8142135623730953, -1.4], "name": "box3"},
+    ],
+}
+
+SCENES["plane_cylinder_point"] = {
+    "name": "plane_cylinder_point",
+    "ambient_dim": 3,
+    "bounds": [[-3.0, 3.0], [-3.0, 3.0], [-3.0, 3.0]],
+    "start": [-2.0, 0.0, 0.0],
+    "obstacles": [],
+    "transitions": [],
+    "collision_step": 0.05,
+    "profile": "point",
+    "manifolds": [
+        {"type": "plane", "name": "plane_z0", "params": {"A": [[0.0, 0.0, 1.0]], "b": [0.0]}},
+        {"type": "cylinder", "name": "unit_cylinder", "params": {"coeff": 1.0, "rhs": 1.0}},
+        {"type": "goal_point", "name": "goal_point", "params": {"target": [1.0, 0.0, 2.0]}},
+    ],
+}
+
+SCENES["transport_a_mini"] = {
+    "name": "transport_a_mini",
+    "ambient_dim": 4,
+    "bounds": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2], [-2.2, 2.2]],
+    "start": [0.6, 0.8, -1.0, 0.0],
+    "obstacles": [
+        # obj1: half-extent 0.05, its centre 2 cm plus that half-extent below the pick target
+        {"min": [0.6653370551533117, 0.43938840980113175, 0.012259162117227593],
+         "max": [0.7653370551533117, 0.5393884098011318, 0.1122591621172276], "name": "obj1"},
+        # centre (-0.40, 0.69, 0.25), half-extents (0.08, 0.08, 0.25)
+        {"min": [-0.48000000000000004, 0.61, 0.0], "max": [-0.32, 0.7699999999999999, 0.5], "name": "pillar"},
+    ],
+    "transitions": [
+        {"trigger": 0, "effect": {"type": "attach", "object": "obj1", "body": 0}},
+        {"trigger": 1, "effect": {"type": "detach", "object": "obj1"}},
+    ],
+    "collision_step": 0.05,
+    "profile": "robot",
+    "system": {"chains": [{
+        "joints": [
+            {"axis": [0.0, 0.0, 1.0], "type": "revolute", "origin": [0.0, 0.0, 0.2]},
+            {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.0, 0.0, 0.1]},
+            {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.4, 0.0, 0.0]},
+            {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.4, 0.0, 0.0]},
+        ],
+        "base": [0.0, 0.0, 0.0],
+        "tool": [0.2, 0.0, 0.0],
+        "limits": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2], [-2.2, 2.2]],
+    }]},
+    "manifolds": [
+        # the pick target is the chain-0 tool point at the start configuration
+        {"type": "pick", "name": "pick",
+         "params": {"chain": 0, "target": [0.7153370551533117, 0.48938840980113174, 0.1322591621172276]}},
+        {"type": "orientation", "name": "carry_upright", "params": {"chain": 0}},
+        {"type": "pick", "name": "place", "params": {"chain": 0, "target": [-0.7, -0.35, 0.25]}},
+    ],
+}
+
+SCENES["transport_b_mini"] = {
+    "name": "transport_b_mini",
+    "ambient_dim": 8,
+    "bounds": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2],
+               [-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2], [-1.0, 1.0], [-1.0, 1.0]],
+    # arm1, arm2, tray. arm1 starts at the elbow-flipped grasp of the object;
+    # the upright solution (0.5, -0.6, 0.6) reaches the same point with zero tilt.
+    "start": [0.5, 0.0, -0.6, 2.5, 0.4, 0.4, 0.5, -0.5],
+    "obstacles": [
+        # obj1: half-extent 0.04, its centre 2 cm plus that half-extent below the pick target
+        {"min": [0.05075308209686972, 0.3100450041246027, 0.3258569893580142],
+         "max": [0.13075308209686973, 0.39004500412460263, 0.4058569893580142], "name": "obj1"},
+    ],
+    "transitions": [
+        {"trigger": 0, "effect": {"type": "attach", "object": "obj1", "body": 0}},
+        {"trigger": 1, "effect": {"type": "attach", "object": "obj1", "body": 2}},
+        {"trigger": 2, "effect": {"type": "attach", "object": "obj1", "body": 1}},
+        {"trigger": 3, "effect": {"type": "detach", "object": "obj1"}},
+    ],
+    "collision_step": 0.05,
+    "profile": "robot",
+    "system": {"chains": [
+        {
+            "joints": [
+                {"axis": [0.0, 0.0, 1.0], "type": "revolute", "origin": [0.0, 0.0, 0.2]},
+                {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.0, 0.0, 0.0]},
+                {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.4, 0.0, 0.0]},
+            ],
+            "base": [-0.55, 0.0, 0.0],
+            "tool": [0.4, 0.0, 0.0],
+            "limits": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2]],
+        },
+        {
+            "joints": [
+                {"axis": [0.0, 0.0, 1.0], "type": "revolute", "origin": [0.0, 0.0, 0.2]},
+                {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.0, 0.0, 0.0]},
+                {"axis": [0.0, 1.0, 0.0], "type": "revolute", "origin": [0.4, 0.0, 0.0]},
+            ],
+            "base": [0.55, 0.0, 0.0],
+            "tool": [0.4, 0.0, 0.0],
+            "limits": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2]],
+        },
+        {  # the mobile tray
+            "joints": [
+                {"axis": [1.0, 0.0, 0.0], "type": "prismatic", "origin": [0.0, 0.0, 0.0]},
+                {"axis": [0.0, 1.0, 0.0], "type": "prismatic", "origin": [0.0, 0.0, 0.0]},
+            ],
+            "base": [0.0, 0.0, 0.0],
+            "tool": [0.0, 0.0, 0.35],
+            "limits": [[-1.0, 1.0], [-1.0, 1.0]],
+        },
+    ]},
+    "manifolds": [
+        # the pick target is the chain-0 tool point at the start configuration
+        {"type": "pick", "name": "pick",
+         "params": {"chain": 0, "target": [0.09075308209686972, 0.35004500412460265, 0.4258569893580142]}},
+        {"type": "orientation", "name": "carry_upright", "params": {"chain": 0}},
+        {"type": "handover", "name": "arm1_to_tray", "params": {"chain1": 0, "chain2": 2}},
+        {"type": "handover", "name": "arm2_from_tray", "params": {"chain1": 1, "chain2": 2}},
+        {"type": "pick", "name": "place", "params": {"chain": 1, "target": [0.9, -0.35, 0.35]}},
+    ],
+}
+
+
+def available_scenes():
+    return sorted(SCENES)
+
+
+def _scene(name):
+    try:
+        return SCENES[name]
+    except KeyError:
+        raise ValueError(f"unknown scene {name!r}; available: {', '.join(available_scenes())}") from None
+
+
+def build_benchmark_scene(name):
+    """Construct a built-in scene by identifier."""
+    return task_from_dict(_scene(name))
+
+
+def export_scene_json(name):
+    """A built-in scene as the JSON text of its scene description."""
+    return json.dumps(_scene(name), indent=2)

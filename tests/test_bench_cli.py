@@ -204,14 +204,21 @@ _NAMED_ENTRY_CASES = {
     "obstacle_min_not_numeric": ("obstacle 0", "'a'"),
     "joint_type_unknown": ("system chain 0", "joint 1", "'helical'"),
     "manifolds_not_a_list": ("manifold entries", "5"),
+    "profile_unknown": ("'profile'", "'fast'"),
+    "collision_step_not_numeric": ("'collision_step'", "'x'"),
+    "collision_step_nan": ("'collision_step'", "nan"),
+    "collision_step_zero": ("'collision_step'", "0.0"),
+    "effect_not_an_object": ("transition 0", "effect", "5"),
+    "effect_type_unknown": ("transition 0", "'teleport'"),
+    "attach_body_not_a_chain_index": ("transition 0", "body 3"),
 }
 
 
 def _bad_scene_files():
-    from seqmp.scene import build_benchmark_scene, task_to_dict
+    from seqmp.scene import export_scene_json
 
-    point = task_to_dict(build_benchmark_scene("point3d_free"))
-    robot = task_to_dict(build_benchmark_scene("transport_a_mini"))
+    point = json.loads(export_scene_json("point3d_free"))
+    robot = json.loads(export_scene_json("transport_a_mini"))
     out = {}
     for key in ("manifolds", "start", "bounds"):
         d = dict(point)
@@ -262,6 +269,18 @@ def _bad_scene_files():
     d = copy.deepcopy(point)
     d["manifolds"] = 5
     out["manifolds_not_a_list"] = d
+    for case, key, bad in (("profile_unknown", "profile", "fast"),
+                           ("collision_step_not_numeric", "collision_step", "x"),
+                           ("collision_step_nan", "collision_step", float("nan")),
+                           ("collision_step_zero", "collision_step", 0.0)):
+        d = copy.deepcopy(point)
+        d[key] = bad
+        out[case] = d
+    for case, effect in (("effect_not_an_object", 5), ("effect_type_unknown", {"type": "teleport"}),
+                         ("attach_body_not_a_chain_index", {"type": "attach", "object": "obj1", "body": 3})):
+        d = copy.deepcopy(robot)
+        d["transitions"][0]["effect"] = effect
+        out[case] = d
     return out
 
 

@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 
 from seqmp import kinematics as kin
 from seqmp.manifolds import evaluate, fd_jacobian, project
-from seqmp.scene import _transport_a_system, _transport_b_system
+from seqmp.scene import build_benchmark_scene
 
 RNG = np.random.default_rng(7)
+TRANSPORT_SCENES = ["transport_a_mini", "transport_b_mini"]
+
+
+def _system(scene):
+    return build_benchmark_scene(scene).system
 
 
 def planar_two_link(base=(0.0, 0.0, 0.0)):
@@ -62,9 +67,7 @@ class TestForwardKinematics:
         assert p == pytest.approx([0.0, 2.0, 0.0], abs=1e-12)
 
     def test_matches_homogeneous_transform_oracle(self):
-        from seqmp.scene import _transport_a_system, _transport_b_system
-
-        for sys in (_transport_a_system(), _transport_b_system()):
+        for sys in map(_system, TRANSPORT_SCENES):
             for chain_idx, chain in enumerate(sys.chains):
                 for _ in range(20):
                     q_full = RNG.uniform(-1.5, 1.5, size=sys.dof)
@@ -186,9 +189,7 @@ class TestOrientationConstraint:
             assert evaluate(m, np.array([theta])) == pytest.approx([np.cos(theta) - 1.0], abs=1e-12)
 
     def test_residual_range(self):
-        from seqmp.scene import _transport_a_system
-
-        sys = _transport_a_system()
+        sys = _system("transport_a_mini")
         m = kin.orientation_constraint(sys, 0)
         for _ in range(50):
             q = RNG.uniform(-2.2, 2.2, size=sys.dof)
@@ -197,9 +198,7 @@ class TestOrientationConstraint:
 
 
 def test_fk_smoothness_smoke():
-    from seqmp.scene import _transport_a_system
-
-    sys = _transport_a_system()
+    sys = _system("transport_a_mini")
     delta = 1e-4
     for _ in range(20):
         q = RNG.uniform(-2, 2, size=sys.dof)
@@ -221,12 +220,12 @@ def _kinematic_constraints(sys):
     return out
 
 
-@pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
+@pytest.mark.parametrize("scene", TRANSPORT_SCENES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_analytic_jacobians_match_finite_differences(system, data):
+def test_analytic_jacobians_match_finite_differences(scene, data):
     # transport_b has prismatic joints (the mobile tray) and handovers between chains
-    sys = system()
+    sys = _system(scene)
     q = np.array(data.draw(st.lists(st.floats(-2.5, 2.5), min_size=sys.dof, max_size=sys.dof)))
     for m in _kinematic_constraints(sys):
         J = m.jacobian(q)
@@ -235,10 +234,10 @@ def test_analytic_jacobians_match_finite_differences(system, data):
 
 
 class TestBodyPoints:
-    @pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
-    def test_batch_equals_stacked_single_configurations(self, system):
+    @pytest.mark.parametrize("scene", TRANSPORT_SCENES)
+    def test_batch_equals_stacked_single_configurations(self, scene):
         # reference: the scalar fk_frames positions of each configuration plus link midpoints
-        sys = system()
+        sys = _system(scene)
         Q = RNG.uniform(-2.0, 2.0, size=(9, sys.dof))
         stacked = []
         for q in Q:
@@ -255,9 +254,9 @@ class TestBodyPoints:
         assert single.shape == stacked.shape
         assert np.allclose(single, stacked, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("system", [_transport_a_system, _transport_b_system])
-    def test_tool_rows_hold_the_tool_points(self, system):
-        sys = system()
+    @pytest.mark.parametrize("scene", TRANSPORT_SCENES)
+    def test_tool_rows_hold_the_tool_points(self, scene):
+        sys = _system(scene)
         for q in RNG.uniform(-2.0, 2.0, size=(5, sys.dof)):
             pts = sys.body_points(q)
             for c in range(len(sys.chains)):
@@ -266,7 +265,7 @@ class TestBodyPoints:
 
 def _memo_chains():
     """Chains of equal dof with different geometry: one configuration fits them all."""
-    mobile = _transport_b_system().chains[2]  # two prismatic joints
+    mobile = _system("transport_b_mini").chains[2]  # two prismatic joints
     return (planar_two_link(), planar_two_link(base=(0.5, -1.0, 0.25)), mobile)
 
 
@@ -333,7 +332,7 @@ def _fk_frames_batch_rebuilding_terms(chain, Q):
 @given(data=st.data())
 def test_batched_fk_bit_identical_to_rebuilt_rodrigues_terms(data):
     # the per-joint terms are built once per chain; the arithmetic must not change by a bit
-    chains = (_transport_a_system().chains + _transport_b_system().chains
+    chains = (_system("transport_a_mini").chains + _system("transport_b_mini").chains
               + (planar_two_link(), kin.SerialChain((kin.Joint((0.6, 0.0, 0.8), kin.REVOLUTE, (0.1, 0.2, 0.3)),),
                                                     tool=(0.5, 0.0, 0.0))))
     chain = data.draw(st.sampled_from(chains))

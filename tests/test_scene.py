@@ -1,4 +1,4 @@
-"""Obstacles, collision checking, free-space transitions, and scene builders."""
+"""Obstacles, collision checking, free-space transitions, the scene loader and the built-in scenes."""
 import json
 import pickle
 
@@ -21,7 +21,6 @@ from seqmp.scene import (
     export_scene_json,
     point_free,
     task_from_dict,
-    task_to_dict,
 )
 
 RNG = np.random.default_rng(42)
@@ -281,6 +280,25 @@ class TestBenchmarkScenes:
         assert np.linalg.norm(evaluate(task.manifolds[0], task.start())) <= 1e-9
         assert task.config_free(task.start(), task.free_space)
 
+    @pytest.mark.parametrize("name", ["transport_a_mini", "transport_b_mini"])
+    def test_pick_target_and_obj1_sit_at_the_start_tool_point(self, name):
+        # stored numbers the geometry defines: the pick target is the chain-0 tool
+        # point at the start, and obj1 sits 2 cm plus its half-extent below it
+        task = build_benchmark_scene(name)
+        tool = kin.fk_position(task.system, 0, (0.0, 0.0, 0.0), task.start())
+        pick = json.loads(export_scene_json(name))["manifolds"][0]
+        assert pick["name"] == "pick"
+        assert np.max(np.abs(np.asarray(pick["params"]["target"]) - tool)) <= 1e-12
+        obj = next(ob for ob in task.free_space.obstacles if ob.name == "obj1")
+        below = tool - np.array([0.0, 0.0, 0.02 + obj.half_extents()[2]])
+        assert np.max(np.abs(obj.center() - below)) <= 1e-12
+
+    def test_every_profile_has_planner_defaults(self):
+        from seqmp.bench import PROFILE_DEFAULTS
+        from seqmp.scene import PROFILES
+
+        assert set(PROFILE_DEFAULTS) == set(PROFILES)
+
     def test_unknown_scene_lists_available(self):
         with pytest.raises(ValueError) as err:
             build_benchmark_scene("nope")
@@ -307,38 +325,45 @@ class TestSceneJson:
 
     @pytest.mark.parametrize("key", ["manifolds", "start", "bounds"])
     def test_missing_required_key_is_named(self, key):
-        d = task_to_dict(build_benchmark_scene("point3d_free"))
+        d = json.loads(export_scene_json("point3d_free"))
         del d[key]
         with pytest.raises(ValueError, match=key):
             task_from_dict(d)
 
     @pytest.mark.parametrize("kind", ["pick", "handover", "orientation"])
     def test_kinematic_manifold_without_system(self, kind):
-        d = task_to_dict(build_benchmark_scene("transport_b_mini"))
+        d = json.loads(export_scene_json("transport_b_mini"))
         del d["system"]
         d["manifolds"] = [m for m in d["manifolds"] if m["type"] == kind]
         with pytest.raises(ValueError, match="system"):
             task_from_dict(d)
 
     def test_chain_index_out_of_range(self):
-        d = task_to_dict(build_benchmark_scene("transport_a_mini"))
+        d = json.loads(export_scene_json("transport_a_mini"))
         d["manifolds"][0]["params"]["chain"] = 3
         with pytest.raises(ValueError, match="chain"):
             task_from_dict(d)
 
     def test_exported_and_loaded_dicts_are_copies(self):
-        # editing an exported dict, or the dict a task was loaded from, must not change the task
-        task = build_benchmark_scene("transport_a_mini")
-        before = export_scene_json(task)
-        task_to_dict(task)["manifolds"][0]["params"]["target"] = [9.0, 9.0, 9.0]
-        assert export_scene_json(task) == before
+        # editing an exported dict, the dict a task was loaded from, or a loaded
+        # task's effect must change neither that task nor the built-in scene
+        before = export_scene_json("transport_a_mini")
         d = json.loads(before)
-        clone = task_from_dict(d)
+        task = task_from_dict(d)
+        q = task.start()
+        residual = evaluate(task.manifolds[0], q)
+        effects = [dict(rule.effect) for rule in task.transitions]
         d["manifolds"][0]["params"]["target"] = [9.0, 9.0, 9.0]
-        assert export_scene_json(clone) == before
+        d["transitions"][0]["effect"]["object"] = "zzz"
+        d["transitions"][1]["effect"]["type"] = "none"
+        assert np.array_equal(evaluate(task.manifolds[0], q), residual)
+        assert [rule.effect for rule in task.transitions] == effects
+        build_benchmark_scene("transport_a_mini").transitions[0].effect["object"] = "zzz"
+        assert export_scene_json("transport_a_mini") == before
+        assert build_benchmark_scene("transport_a_mini").transitions[0].effect["object"] == "obj1"
 
     def test_schema_keys(self):
-        d = task_to_dict(build_benchmark_scene("point3d_obstacles"))
+        d = json.loads(export_scene_json("point3d_obstacles"))
         for key in ("ambient_dim", "bounds", "manifolds", "start", "obstacles", "transitions"):
             assert key in d
         assert {"type", "params"} <= set(d["manifolds"][0])
