@@ -7,8 +7,9 @@ Loads ``OLD_ROOT/src/seqmp`` and ``NEW_ROOT/src/seqmp`` side by side (as the
 packages ``seqmp_old`` and ``seqmp_new``) and runs the planner jobs of one
 ``perfbench/workloads.py`` workload through both, job by job, flipping which
 side goes first on every job. Prints the ratio new/old of each repetition's
-summed wall time (median and quartiles), each side's success count and mean
-path cost over the jobs, and checks that both sides return the same path
+summed wall time (median and quartiles), the median new/old ratio of each
+planner's summed wall time per repetition, each side's success count and
+mean path cost over the jobs, and checks that both sides return the same path
 digest for every job; exits 1 if any digest differs. A change that moves
 paths only in the last bits shows as differing digests with equal costs.
 
@@ -64,9 +65,11 @@ def main():
     jobs = [job for group in job_groups(workload, args.seed) for job in group]
 
     ratios, mismatches = [], set()
+    planner_ratios = {planner: [] for planner in workload.planners}
     costs = ({}, {})  # per side: job -> path cost, None for no path
     for rep in range(args.reps):
         wall = [0.0, 0.0]
+        planner_wall = {planner: [0.0, 0.0] for planner in workload.planners}
         for j, (planner, seed) in enumerate(jobs):
             digests = [None, None]
             for s in ((0, 1) if (rep + j) % 2 == 0 else (1, 0)):
@@ -74,16 +77,21 @@ def main():
                 if error:
                     print(f"{('old', 'new')[s]} {planner} seed {seed}: {error.strip().splitlines()[-1]}")
                 wall[s] += seconds
+                planner_wall[planner][s] += seconds
                 digests[s] = digest(path)
                 costs[s][planner, seed] = None if path is None else path.total_cost
             if digests[0] != digests[1]:
                 mismatches.add((planner, seed))
         ratios.append(wall[1] / wall[0])
+        for planner, (old, new) in planner_wall.items():
+            planner_ratios[planner].append(new / old)
         print(f"rep {rep}: old {wall[0]:.3f} s  new {wall[1]:.3f} s  new/old {ratios[-1]:.3f}", flush=True)
 
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps; new/old median {median:.3f} "
           f"(quartiles {q1:.3f}-{q3:.3f})")
+    for planner, planner_ratio in planner_ratios.items():
+        print(f"  {planner}: new/old median {statistics.median(planner_ratio):.3f}")
     for side, side_costs in zip(("old", "new"), costs):
         found = [c for c in side_costs.values() if c is not None]
         mean = f"{statistics.fmean(found):.6f}" if found else "-"

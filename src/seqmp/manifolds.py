@@ -6,6 +6,8 @@ safe to share between planner runs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-6
@@ -44,12 +46,20 @@ class Manifold:
         return f"{type(self).__name__}(k={self.ambient_dim}, l={self.codim}, name={self.name!r})"
 
 
+def norm(v):
+    """Euclidean norm of a 1-D real vector, equal bit for bit to
+    ``np.linalg.norm(v)``, which takes the same ``sqrt(v.dot(v))``."""
+    return math.sqrt(v.dot(v))
+
+
 def evaluate(m, q):
     """Evaluate the constraint residual h(q), shape (l,)."""
     q = np.asarray(q, dtype=float)
     if q.shape != (m.ambient_dim,):
         raise ValueError(f"configuration has shape {q.shape}, expected ({m.ambient_dim},)")
-    out = np.atleast_1d(np.asarray(m.h(q), dtype=float))
+    out = m.h(q)
+    if type(out) is not np.ndarray or out.dtype != np.float64 or out.ndim != 1:
+        out = np.atleast_1d(np.asarray(out, dtype=float))
     if out.shape != (m.codim,):
         raise ValueError(f"constraint {m.name} returned shape {out.shape}, expected ({m.codim},)")
     return out
@@ -113,8 +123,8 @@ def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
         raise ValueError("max_iters must be >= 1")
     q = np.array(q, dtype=float)
     res = evaluate(m, q)
-    norm = np.linalg.norm(res)
-    if norm <= eps:
+    res_norm = norm(res)
+    if res_norm <= eps:
         return q
     increases = 0
     for _ in range(max_iters):
@@ -127,18 +137,18 @@ def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
         if not np.all(np.isfinite(q)):
             return None
         res = evaluate(m, q)
-        new_norm = np.linalg.norm(res)
-        if not np.isfinite(new_norm):
+        new_norm = norm(res)
+        if not math.isfinite(new_norm):
             return None
         if new_norm <= eps:
             return q
-        if new_norm >= norm:
+        if new_norm >= res_norm:
             increases += 1
             if increases >= DIVERGENCE_PATIENCE:
                 return None
         else:
             increases = 0
-        norm = new_norm
+        res_norm = new_norm
     return None
 
 

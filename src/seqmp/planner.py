@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Intersection, evaluate, project
+from .manifolds import Intersection, evaluate, norm, project
 from .steering import ZERO_DIRECTION_TOL, SteerParams, psm_steer, steer_point
 
 IK_RETRIES = 100
@@ -260,7 +260,7 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
 
 
 def _in_bounds(q, bounds):
-    return bool(np.all(q >= bounds[:, 0]) and np.all(q <= bounds[:, 1]))
+    return bool((q >= bounds[:, 0]).all() and (q <= bounds[:, 1]).all())
 
 
 class _Run:
@@ -269,16 +269,21 @@ class _Run:
     planners grow their trees with."""
 
     def __init__(self, task, params):
-        res = np.linalg.norm(evaluate(task.manifolds[0], task.start()))
+        res = norm(evaluate(task.manifolds[0], task.start()))
         if res > params.eps:
             raise ValueError(f"start configuration violates the first constraint (residual {res:.3g})")
         self.task, self.params = task, params
         self.rng = np.random.default_rng(params.seed)
         self.bounds = task.bounds_array()
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        if not (np.isfinite(self.bounds).all() and (lo <= hi).all()):
+            raise ValueError(f"sampling bounds must be finite with lo <= hi, got {task.bounds!r}")
+        self.lo, self.span = lo, hi - lo
         self.gamma = params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
 
     def uniform(self):
-        return self.rng.uniform(self.bounds[:, 0], self.bounds[:, 1])
+        # the doubles and the RNG stream of rng.uniform(lo, hi), without its overhead
+        return self.lo + self.span * self.rng.random(len(self.lo))
 
     def extend(self, tree, q_rand, steer, segment_free, label=None, edge_ok=None):
         """Extend ``tree`` toward ``q_rand`` on the manifold of its nearest node.
@@ -296,7 +301,7 @@ class _Run:
         q_new = steer(tree.config(near_id), q_rand, m_i, m_next)
         if q_new is None or not _in_bounds(q_new, self.bounds):
             return None
-        if np.linalg.norm(evaluate(m_i, q_new)) > self.params.eps:
+        if norm(evaluate(m_i, q_new)) > self.params.eps:
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
         return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
@@ -347,7 +352,7 @@ def _psm_run(task, params, greedy, debug=None):
             if new_id is None:
                 continue
             q_new = tree.config(new_id)
-            if np.linalg.norm(evaluate(m_next, q_new)) < params.eps and np.all(
+            if norm(evaluate(m_next, q_new)) < params.eps and np.all(
                     row_norms(q_new - tree.configs[V_goal]) >= params.rho):
                 V_goal.append(new_id)
             if trace is not None and i == n - 1 and V_goal:
@@ -404,7 +409,7 @@ def psm_star_single_tree(task, params, debug=None):
 
     def label(i, q_new):
         # a node also on the next manifold belongs to the next phase (the goal has none)
-        if np.linalg.norm(evaluate(task.manifolds[i + 1], q_new)) < params.eps:
+        if norm(evaluate(task.manifolds[i + 1], q_new)) < params.eps:
             return min(i + 1, n - 1), (i, i + 1)
         return i, (i,)
 
@@ -440,7 +445,7 @@ def rrt_star_ik(task, params, debug=None):
 
     def steer(q_near, q_rand, m_i, m_next):  # a tangent step of at most alpha, projected back onto m_i
         d = steer_point(q_near, q_rand, m_i)
-        nd = np.linalg.norm(d)
+        nd = norm(d)
         if nd < ZERO_DIRECTION_TOL:
             return None
         return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps, params.max_project_iters)
@@ -463,7 +468,7 @@ def rrt_star_ik(task, params, debug=None):
 
         def goal_link(node):
             """[(distance to the goal, node)] if node is a free step from it, else []."""
-            gd = float(np.linalg.norm(tree.config(node) - goal))
+            gd = norm(tree.config(node) - goal)
             if gd <= params.alpha and task.segment_free(tree.config(node), goal, fs):
                 return [(gd, node)]
             return []

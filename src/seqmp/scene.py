@@ -19,11 +19,12 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import ge, le
 
 import numpy as np
 
 from . import kinematics as kin
-from .manifolds import (AffinePlane, Cylinder, Paraboloid, PointGoal)
+from .manifolds import AffinePlane, Cylinder, Paraboloid, PointGoal, norm
 
 DEFAULT_COLLISION_STEP = 0.05
 PROFILES = ("point", "robot")  # which planner defaults a scene runs with
@@ -89,6 +90,13 @@ class FreeSpaceState:
         lo = np.array([ob.min_corner for ob in self.obstacles], dtype=float)
         hi = np.array([ob.max_corner for ob in self.obstacles], dtype=float)
         return lo[:, None, :], hi[:, None, :]
+
+    @cached_property
+    def boxes(self):
+        """The obstacles' (min, max) corners as tuples of Python floats, for
+        the broad phase of ``collision_free_segment``."""
+        return tuple((tuple(map(float, ob.min_corner)), tuple(map(float, ob.max_corner)))
+                     for ob in self.obstacles)
 
 
 @dataclass(frozen=True)
@@ -173,10 +181,33 @@ def point_free(points, fs):
     return not ((pts > lo) & (pts < hi)).all(axis=2).any()
 
 
+def _segment_clear_of_boxes(qa, qb, boxes):
+    """True when the box spanned by ``qa`` and ``qb``, inflated by a rounding
+    margin, overlaps no obstacle box, which proves every interpolated point
+    free; False when it may overlap one.
+
+    The points qa + t (qb - qa) lie within a few ulps of that box, far inside
+    the margin. The margin sums every |coordinate|, so a NaN or infinite
+    endpoint overlaps every box and is left to the sampled test. A plain
+    Python loop over a few boxes is faster here than a numpy broadcast.
+    """
+    a, b = qa.tolist(), qb.tolist()
+    pad = 1e-9 * (1.0 + sum(map(abs, a)) + sum(map(abs, b)))
+    lo = [x - pad for x in map(min, a, b)]
+    hi = [x + pad for x in map(max, a, b)]
+    for bmin, bmax in boxes:
+        if not (any(map(ge, lo, bmax)) or any(map(le, hi, bmin))):
+            return False
+    return True
+
+
 def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None):
     """Straight-line ambient segment check at interpolation spacing <= step.
 
     The interpolation set is symmetric in (qa, qb), so the check commutes.
+    A point segment whose endpoint box clears every obstacle is free without
+    interpolating (``_segment_clear_of_boxes``); that broad phase answers
+    "free" only where the sampled test does too.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -186,7 +217,9 @@ def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None)
         raise ValueError("segment endpoints must have the same dimension")
     if not fs.obstacles:
         return True
-    dist = float(np.linalg.norm(qb - qa))
+    if system is None and _segment_clear_of_boxes(qa, qb, fs.boxes):
+        return True
+    dist = norm(qb - qa)
     n = max(1, int(np.ceil(dist / step)))
     ts = np.arange(n + 1) * (1.0 / n)  # np.linspace(0, 1, n + 1), without its overhead
     ts[-1] = 1.0
@@ -340,6 +373,38 @@ def _transition_from_dict(r, system):
     return TransitionRule(r["trigger"], effect)
 
 
+def _is_finite_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_transitions(transitions, n_phases, obstacles):
+    """Each trigger is a distinct phase index, and replaying the effects in
+    trigger order attaches only obstacles or attached objects and detaches
+    only attached ones, as ``apply_transition`` will at plan time."""
+    at = {}  # trigger -> transition index
+    for k, rule in enumerate(transitions):
+        t = rule.trigger
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 0 <= t < n_phases:
+            raise ValueError(f"transition {k}: trigger {t!r} is not a phase index 0..{n_phases - 1}")
+        if t in at:
+            raise ValueError(f"transition {k}: trigger {t} repeats the trigger of transition {at[t]}")
+        at[t] = k
+    placed, attached = [ob.name for ob in obstacles], []  # lists: an id need not be hashable
+    for t, k in sorted(at.items()):
+        kind, obj = transitions[k].effect["type"], transitions[k].effect.get("object")
+        if kind == "attach" and obj not in attached:
+            if obj not in placed:
+                raise ValueError(f"transition {k}: attach names object {obj!r}, which is neither an obstacle "
+                                 f"nor attached at phase {t}")
+            placed = [name for name in placed if name != obj]
+            attached.append(obj)
+        elif kind == "detach":
+            if obj not in attached:
+                raise ValueError(f"transition {k}: detach names object {obj!r}, which is not attached at phase {t}")
+            attached.remove(obj)
+            placed.append(obj)
+
+
 def task_from_dict(d):
     """Build a Task from the scene description schema.
 
@@ -347,8 +412,11 @@ def task_from_dict(d):
     params included) is missing, an entry is not an object, a kinematic
     manifold or an attach effect has no system to act on, the manifolds,
     ``start`` and ``bounds`` disagree on the number of configuration
-    coordinates, or ``profile``, ``collision_step`` or a transition effect
-    holds a value outside its allowed set.
+    coordinates, a ``bounds`` entry is not a finite [lo, hi] pair with
+    lo <= hi, ``profile``, ``collision_step`` or a transition effect holds a
+    value outside its allowed set, two transitions share a trigger or one's
+    trigger is not a phase index, or an attach or detach names an object
+    that is not there to take at its phase.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")
@@ -368,13 +436,14 @@ def task_from_dict(d):
         if not isinstance(d[key], (list, tuple)) or len(d[key]) != k:
             raise ValueError(f"scene {key!r} must have one entry per configuration coordinate ({k}), got {d[key]!r}")
     for j, b in enumerate(d["bounds"]):
-        if not isinstance(b, (list, tuple)) or len(b) != 2:
-            raise ValueError(f"bounds entry {j} must be a [lo, hi] pair, got {b!r}")
+        if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_finite_real, b)) and b[0] <= b[1]):
+            raise ValueError(f"bounds entry {j} must be a [lo, hi] pair of finite numbers with lo <= hi, got {b!r}")
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
         tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
     transitions = _from_entries("transition", d.get("transitions", ()), lambda r: _transition_from_dict(r, system))
+    _check_transitions(transitions, len(manifolds) - 1, obstacles)
     step = d.get("collision_step", DEFAULT_COLLISION_STEP)
-    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (math.isfinite(step) and step > 0):
+    if not (_is_finite_real(step) and step > 0):
         raise ValueError(f"scene 'collision_step' must be a positive finite number, got {step!r}")
     profile = d.get("profile", "point")
     if profile not in PROFILES:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Intersection, evaluate, project, tangent_component, tangent_nullspace
+from .manifolds import Intersection, evaluate, norm, project, tangent_component, tangent_nullspace
 
 ZERO_DIRECTION_TOL = 1e-12
 KKT_RCOND = 1e-9
@@ -83,11 +83,11 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, eps, max_iters=200, info
     if info is not None:
         info["used_constraint_steer"] = use_constraint
         info["threshold"] = threshold
-    norm = np.linalg.norm(d)
-    if norm < ZERO_DIRECTION_TOL:
+    d_norm = norm(d)
+    if d_norm < ZERO_DIRECTION_TOL:
         return None
-    q_new = q_near + params.alpha * d / norm
-    to_intersection = np.linalg.norm(evaluate(m_next, q_new)) < threshold
+    q_new = q_near + params.alpha * d / d_norm
+    to_intersection = norm(evaluate(m_next, q_new)) < threshold
     if info is not None:
         info["projected_intersection"] = to_intersection
         info["q_before_projection"] = q_new.copy()

@@ -211,6 +211,14 @@ _NAMED_ENTRY_CASES = {
     "effect_not_an_object": ("transition 0", "effect", "5"),
     "effect_type_unknown": ("transition 0", "'teleport'"),
     "attach_body_not_a_chain_index": ("transition 0", "body 3"),
+    "bounds_reversed": ("bounds entry 0", "[6.0, -6.0]"),
+    "bounds_infinite": ("bounds entry 0", "inf"),
+    "bounds_nan": ("bounds entry 0", "nan"),
+    "trigger_out_of_range": ("transition 1", "trigger 7"),
+    "trigger_repeated": ("transition 1", "trigger 0", "transition 0"),
+    "trigger_not_an_integer": ("transition 1", "trigger '1'"),
+    "attach_unknown_object": ("transition 0", "'zzz'"),
+    "detach_not_attached": ("transition 1", "'pillar'", "not attached"),
 }
 
 
@@ -280,6 +288,19 @@ def _bad_scene_files():
                          ("attach_body_not_a_chain_index", {"type": "attach", "object": "obj1", "body": 3})):
         d = copy.deepcopy(robot)
         d["transitions"][0]["effect"] = effect
+        out[case] = d
+    for case, bad in (("bounds_reversed", [6.0, -6.0]), ("bounds_infinite", [-6.0, float("inf")]),
+                      ("bounds_nan", [float("nan"), 6.0])):
+        d = copy.deepcopy(point)
+        d["bounds"][0] = bad
+        out[case] = d
+    for case, trigger in (("trigger_out_of_range", 7), ("trigger_repeated", 0), ("trigger_not_an_integer", "1")):
+        d = copy.deepcopy(robot)
+        d["transitions"][1]["trigger"] = trigger
+        out[case] = d
+    for case, k, obj in (("attach_unknown_object", 0, "zzz"), ("detach_not_attached", 1, "pillar")):
+        d = copy.deepcopy(robot)
+        d["transitions"][k]["effect"]["object"] = obj
         out[case] = d
     return out
 

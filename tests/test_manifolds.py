@@ -8,12 +8,14 @@ from seqmp.manifolds import (
     AffinePlane,
     Cylinder,
     Intersection,
+    Manifold,
     Paraboloid,
     PointGoal,
     Sphere,
     evaluate,
     fd_jacobian,
     newton_step,
+    norm,
     project,
     tangent_component,
     tangent_nullspace,
@@ -286,3 +288,38 @@ def test_project_converges_wherever_the_pseudo_inverse_projection_did(index, q, 
     if old is not None:
         assert new is not None, m.name
         assert np.linalg.norm(evaluate(m, new)) <= eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
+def test_norm_is_numpy_norm_bit_for_bit(v):
+    v = np.array(v, dtype=float)
+    with np.errstate(all="ignore"):  # both warn alike when v.v overflows
+        got, expected = norm(v), np.linalg.norm(v)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+class _Returns(Manifold):
+    def __init__(self, out, codim):
+        super().__init__(2, codim)
+        self.out = out
+
+    def h(self, q):
+        return self.out
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=2), dtype=st.sampled_from([np.int64, np.float32, np.float64]),
+       as_list=st.booleans(), codim=st.integers(1, 3))
+def test_evaluate_converts_outputs_and_rejects_wrong_shapes(shape, dtype, as_list, codim):
+    raw = np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape)
+    out = raw.tolist() if as_list else raw
+    expected = np.atleast_1d(np.asarray(out, dtype=float))
+    m = _Returns(out, codim)
+    if expected.shape != (codim,):
+        with pytest.raises(ValueError, match="returned shape"):
+            evaluate(m, np.zeros(2))
+        return
+    got = evaluate(m, np.zeros(2))
+    assert got.dtype == np.float64 and got.shape == (codim,)
+    assert np.array_equal(got, expected)

@@ -1,4 +1,6 @@
 """Tree machinery, the four planners, and path extraction/validation."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -554,3 +556,26 @@ class TestPlannerParamsValidation:
     def test_accepts_finite_in_range(self, alpha, r, rho):
         p = PlannerParams(alpha=alpha, r=r, rho=rho)
         assert (p.alpha, p.r, p.rho) == (alpha, r, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 5),
+       bounds=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=1, max_size=6))
+def test_run_uniform_is_generator_uniform(seed, draws, bounds):
+    k = len(bounds)
+    bounds = tuple((lo, lo + width) for lo, width in bounds)
+    task = Task(name="uniform", manifolds=(AffinePlane([[1.0] + [0.0] * (k - 1)], [0.0]), PointGoal((0.0,) * k)),
+                q_start=(0.0,) * k, bounds=bounds)
+    run = planner._Run(task, PlannerParams(seed=seed))
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(bounds).T
+    for _ in range(draws):
+        assert run.uniform().tobytes() == rng.uniform(lo, hi).tobytes()
+    assert run.rng.random() == rng.random()  # the same stream position afterwards
+
+
+@pytest.mark.parametrize("bad", [(4.0, -4.0), (-4.0, np.inf), (np.nan, 4.0)])
+def test_run_rejects_reversed_or_non_finite_bounds(bad):
+    task = dataclasses.replace(line_point_task(), bounds=(bad, (-4.0, 4.0)))
+    with pytest.raises(ValueError, match="bounds"):
+        planner._Run(task, SMALL)

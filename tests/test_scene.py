@@ -376,3 +376,52 @@ def test_attachment_ids_unique():
     recs = tuple(AttachmentRecord("obj", i, (0, 0, 0), (0.1, 0.1, 0.1)) for i in range(2))
     with pytest.raises(ValueError):
         FreeSpaceState(attachments=recs)
+
+
+# coordinates for the broad-phase property: round values that endpoints share
+# with box faces and corners, and any float up to 1e6 in size
+_COORD = st.one_of(st.sampled_from([-1e6, -1.0, -0.5, 0.0, 0.5, 1.0, 1e6]),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _boxes_and_segment(draw):
+    d = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.lists(_COORD, min_size=d, max_size=d)), draw(st.lists(_COORD, min_size=d, max_size=d))
+        boxes.append(ObstacleAABB(tuple(map(min, a, b)), tuple(map(max, a, b))))
+    # each endpoint coordinate is free or a face coordinate of some box on that axis
+    axis = [st.one_of(_COORD, st.sampled_from([c for box in boxes for c in (box.min_corner[j], box.max_corner[j])]))
+            for j in range(d)]
+    qa = np.array([draw(a) for a in axis])
+    qb = qa.copy() if draw(st.booleans()) else np.array([draw(a) for a in axis])
+    return FreeSpaceState(obstacles=tuple(boxes)), qa, qb
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_boxes_and_segment())
+def test_broad_phase_says_free_only_where_the_sampled_test_does(case):
+    from unittest import mock
+
+    from seqmp import scene
+
+    fs, qa, qb = case
+    if not scene._segment_clear_of_boxes(qa, qb, fs.boxes):
+        return
+    # a spacing that keeps a 1e6-long segment to 65 points
+    step = max(float(np.linalg.norm(qb - qa)), 1.0) / 64
+    with mock.patch.object(scene, "_segment_clear_of_boxes", lambda *args: False):
+        assert collision_free_segment(qa, qb, fs, step=step)
+
+
+def test_broad_phase_certifies_clear_segments_and_defers_near_ones():
+    from seqmp.scene import _segment_clear_of_boxes
+
+    boxes = FreeSpaceState(obstacles=(ObstacleAABB((0.0,) * 3, (1.0,) * 3),)).boxes
+    assert _segment_clear_of_boxes(np.array([2.0, 0.0, 0.0]), np.array([3.0, 1.0, 1.0]), boxes)
+    assert not _segment_clear_of_boxes(np.array([-1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5]), boxes)
+    # touching a face is free for the strict-interior test, but left to it
+    assert not _segment_clear_of_boxes(np.array([1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5]), boxes)
+    for bad in (np.nan, np.inf):
+        assert not _segment_clear_of_boxes(np.array([2.0, 0.0, bad]), np.array([3.0, 1.0, 1.0]), boxes)
