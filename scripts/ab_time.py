@@ -10,8 +10,9 @@ side goes first on every job. Prints the ratio new/old of each repetition's
 summed wall time (median and quartiles), the median new/old ratio of each
 planner's summed wall time per repetition, each side's success count and
 mean path cost over the jobs, and checks that both sides return the same path
-digest for every job; exits 1 if any digest differs. A change that moves
-paths only in the last bits shows as differing digests with equal costs.
+digest for every job; exits 1 if any digest differs. For each job whose digest
+differs it prints both path costs and their difference, so a change that moves
+paths only in the last bits reads as a cost difference at rounding level.
 
 This is for sizing a change only. It skips what the benchmark does to make
 timings comparable across runs (a fresh process per run, the speed probe,
@@ -43,6 +44,10 @@ def load_bench(root, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.bench")
+
+
+def _cost(cost):
+    return "-" if cost is None else f"{cost:.17g}"
 
 
 def main():
@@ -97,7 +102,9 @@ def main():
         mean = f"{statistics.fmean(found):.6f}" if found else "-"
         print(f"{side}: success {len(found)}/{len(side_costs)} jobs, mean cost {mean}")
     for planner, seed in sorted(mismatches):
-        print(f"DIGEST DIFFERS: {planner} seed {seed}")
+        old, new = costs[0][planner, seed], costs[1][planner, seed]
+        delta = "-" if old is None or new is None else f"{new - old:.3g}"
+        print(f"DIGEST DIFFERS: {planner} seed {seed}: cost old {_cost(old)} new {_cost(new)} new-old {delta}")
     print(f"digests: {len(jobs) - len(mismatches)}/{len(jobs)} jobs equal")
     return 1 if mismatches else 0
 

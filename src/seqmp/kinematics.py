@@ -12,6 +12,7 @@ them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,10 @@ PRISMATIC = "prismatic"
 
 
 def _rotation(axis, angle):
-    """Rotation matrix about a unit axis (Rodrigues)."""
+    """Rotation matrix about a unit axis (Rodrigues); ``axis`` is a tuple of
+    three floats and ``angle`` a float, so every entry is Python float arithmetic."""
     x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
     C = 1.0 - c
     return np.array([
         [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
@@ -98,6 +100,7 @@ class SerialChain:
         object.__setattr__(self, "_tool", np.asarray(self.tool, dtype=float))
         object.__setattr__(self, "_origins", [np.asarray(j.origin, dtype=float) for j in self.joints])
         object.__setattr__(self, "_axes", [np.asarray(j.axis, dtype=float) for j in self.joints])
+        object.__setattr__(self, "_axis_floats", [tuple(a.tolist()) for a in self._axes])  # for _rotation
         object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
         object.__setattr__(self, "_rodrigues", [_rodrigues_terms(a) for a in self._axes])  # built once, not per FK
         # (configuration bytes, fk_frames result) of the last fk_frames call; one
@@ -134,11 +137,12 @@ class SerialChain:
         R = _I3
         pts = [p]
         axes = []
-        for origin, axis, revolute, qi in zip(self._origins, self._axes, self._revolute, q):
+        for origin, axis, unit, revolute, qi in zip(self._origins, self._axes, self._axis_floats, self._revolute,
+                                                    q.tolist()):
             p = p + R @ origin
             axes.append(R @ axis)
             if revolute:
-                R = R @ _rotation(axis, qi)
+                R = R @ _rotation(unit, qi)
             else:
                 p = p + R @ (axis * qi)
             pts.append(p)

@@ -116,6 +116,10 @@ class Tree:
     def __init__(self, dim):
         self.dim = dim
         self._configs = np.empty((0, dim))
+        # the same configurations column-major, (dim, capacity), so a query's
+        # distance pass runs over contiguous rows; a synthetic root's column is
+        # +inf, which keeps it out of every nearest/near answer
+        self._cols = np.empty((dim, 0))
         self.parent = []
         self.cost = []
         self.synthetic = []
@@ -137,10 +141,15 @@ class Tree:
     def add(self, config, parent, cost, synthetic=False, phase=0, on=()):
         i = len(self.parent)
         if i == self._configs.shape[0]:
-            grow = np.empty((max(64, 2 * i), self.dim))
+            capacity = max(64, 2 * i)
+            grow = np.empty((capacity, self.dim))
             grow[:i] = self._configs[:i]
             self._configs = grow
+            cols = np.empty((self.dim, capacity))
+            cols[:, :i] = self._cols[:, :i]
+            self._cols = cols
         self._configs[i] = 0.0 if config is None else config
+        self._cols[:, i] = np.inf if synthetic else self._configs[i]
         self.parent.append(parent)
         self.cost.append(cost)
         self.synthetic.append(synthetic)
@@ -157,21 +166,27 @@ class Tree:
         return len(self.parent) - len(self._synthetic_ids)
 
     def _distances(self, q):
-        d = self.configs - np.asarray(q)
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        if self._synthetic_ids:
-            dist[self._synthetic_ids] = np.inf
-        return dist
+        """Distance from q to every node, +inf for synthetic roots.
+
+        The squares are summed in coordinate order, ((d0^2 + d1^2) + d2^2) + ...,
+        an order that does not depend on the CPU's SIMD width.
+        """
+        d = self._cols[:, :len(self.parent)] - np.asarray(q)[:, None]
+        d *= d
+        dist = d[0]
+        for k in range(1, self.dim):
+            dist += d[k]
+        return np.sqrt(dist, out=dist)
 
     def nearest(self, q):
         if self.real_count() == 0:
             raise ValueError("nearest query on a tree without real nodes")
-        return int(np.argmin(self._distances(q)))
+        return int(self._distances(q).argmin())
 
     def near(self, q, radius):
         if radius <= 0:
             return []
-        return np.flatnonzero(self._distances(q) <= radius).tolist()
+        return (self._distances(q) <= radius).nonzero()[0].tolist()
 
     def reparent(self, node, new_parent, new_cost):
         old = self.parent[node]
@@ -198,7 +213,7 @@ class Tree:
 def rewiring_radius(gamma, n_nodes, dim, alpha):
     if n_nodes <= 1:
         return 0.0
-    return min(gamma * (np.log(n_nodes) / n_nodes) ** (1.0 / dim), alpha)
+    return min(gamma * (math.log(n_nodes) / n_nodes) ** (1.0 / dim), alpha)
 
 
 def row_norms(d):
@@ -243,7 +258,7 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     via = cost + dist  # cost of q_new through each node; near_id's is last
     nbr = np.array(neighbors, dtype=np.intp)
     q_min, c_min = near_id, float(via[-1])
-    better = np.flatnonzero((via[:-1] < c_min) & (nbr != near_id))
+    better = ((via[:-1] < c_min) & (nbr != near_id)).nonzero()[0]
     for k in better[np.lexsort((nbr[better], via[better]))].tolist():
         if segment_free(neighbors[k], q_new):
             q_min, c_min = neighbors[k], float(via[k])
@@ -252,7 +267,7 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     # rewiring only lowers costs, so a neighbour q_new does not improve on
     # the costs before it is never rewired; the rest are tested again
     through_new = c_min + dist[:-1]
-    for k in np.flatnonzero((through_new < cost[:-1]) & (nbr != q_min)).tolist():
+    for k in ((through_new < cost[:-1]) & (nbr != q_min)).nonzero()[0].tolist():
         i, c = neighbors[k], float(through_new[k])
         if c < tree.cost[i] and segment_free(i, q_new):
             tree.reparent(i, new_id, c)
@@ -260,7 +275,11 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
 
 
 def _in_bounds(q, bounds):
-    return bool((q >= bounds[:, 0]).all() and (q <= bounds[:, 1]).all())
+    """Whether lo <= q_j <= hi for every coordinate; ``bounds`` is a list of (lo, hi) floats."""
+    for x, (lo, hi) in zip(q.tolist(), bounds):
+        if not lo <= x <= hi:
+            return False
+    return True
 
 
 class _Run:
@@ -274,11 +293,12 @@ class _Run:
             raise ValueError(f"start configuration violates the first constraint (residual {res:.3g})")
         self.task, self.params = task, params
         self.rng = np.random.default_rng(params.seed)
-        self.bounds = task.bounds_array()
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        if not (np.isfinite(self.bounds).all() and (lo <= hi).all()):
+        bounds = task.bounds_array()
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        if not (np.isfinite(bounds).all() and (lo <= hi).all()):
             raise ValueError(f"sampling bounds must be finite with lo <= hi, got {task.bounds!r}")
         self.lo, self.span = lo, hi - lo
+        self.bounds = bounds.tolist()  # (lo, hi) pairs of floats, as _in_bounds takes them
         self.gamma = params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
 
     def uniform(self):
@@ -397,6 +417,17 @@ def psm_star_greedy(task, params, debug=None):
     return _psm_run(task, params, greedy=True, debug=debug)
 
 
+def _shares_manifold(on_a, on_b):
+    """Whether two single-tree labels share a manifold. A label is a sorted
+    tuple of one or two manifold indices, so its ends are all its entries."""
+    return on_a[0] in on_b or on_a[-1] in on_b
+
+
+def _last_shared_manifold(on_a, on_b):
+    """The highest manifold index two labels that share one have in common."""
+    return on_a[-1] if on_a[-1] in on_b else on_a[0]
+
+
 def psm_star_single_tree(task, params, debug=None):
     """Single tree grown over the whole manifold sequence (duplicate threshold 0)."""
     run = _Run(task, params)
@@ -414,10 +445,10 @@ def psm_star_single_tree(task, params, debug=None):
         return i, (i,)
 
     def edge_ok(node_id, on_new):
-        return bool(set(tree.on[node_id]) & set(on_new))
+        return _shares_manifold(tree.on[node_id], on_new)
 
     def segment_free(a_id, q, on_new):
-        j = min(max(set(tree.on[a_id]) & set(on_new)), n - 1)
+        j = min(_last_shared_manifold(tree.on[a_id], on_new), n - 1)
         return task.segment_free(tree.config(a_id), q, fs_list[j])
 
     for _ in range(n * params.m):

@@ -328,6 +328,26 @@ def _fk_frames_batch_rebuilding_terms(chain, Q):
     return np.stack(pts, axis=1)
 
 
+def _rotation_numpy_scalars(axis, angle):
+    """Rodrigues rotation from numpy float64 scalars, as fk_frames built it before."""
+    x, y, z = np.asarray(axis, dtype=float)
+    c, s = np.cos(np.float64(angle)), np.sin(np.float64(angle))
+    C = 1.0 - c
+    return np.array([
+        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+        [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
+    ])
+
+
+@settings(deadline=None)
+@given(v=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+       angle=st.floats(-20.0, 20.0))
+def test_rotation_from_python_floats_bit_identical_to_numpy_scalars(v, angle):
+    axis = np.array(v) / np.linalg.norm(v)
+    assert kin._rotation(tuple(axis.tolist()), angle).tobytes() == _rotation_numpy_scalars(axis, angle).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_batched_fk_bit_identical_to_rebuilt_rodrigues_terms(data):

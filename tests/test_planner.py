@@ -1,5 +1,6 @@
 """Tree machinery, the four planners, and path extraction/validation."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,44 @@ class TestTreeQueries:
             Tree(2).nearest(np.zeros(2))
 
 
+def _ordered_distance(x, q):
+    """Plain-Python distance, squares summed in coordinate order."""
+    total = (x[0] - q[0]) * (x[0] - q[0])
+    for a, b in zip(x[1:], q[1:]):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4, 8]), data=st.data())
+def test_tree_queries_match_plain_python_oracle(dim, data):
+    # grid points make duplicate nodes, exact distance ties and nodes at exactly
+    # the radius likely; sizes reach past the 64- and 128-row capacity steps
+    coord = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) | st.floats(-2.0, 2.0)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    pool = data.draw(st.lists(point, min_size=1, max_size=12))
+    n = data.draw(st.integers(1, 140) | st.sampled_from([64, 65, 128, 129]))
+    tree, nodes = Tree(dim), []
+    for _ in range(n):
+        synthetic = data.draw(st.integers(0, 9)) == 0
+        config = data.draw(st.sampled_from(pool))
+        nodes.append(None if synthetic else config)
+        tree.add(None if synthetic and data.draw(st.booleans()) else np.array(config), parent=-1, cost=0.0,
+                 synthetic=synthetic)
+    q = data.draw(st.sampled_from(pool) | point)
+    want = [math.inf if x is None else _ordered_distance(x, q) for x in nodes]
+    assert tree._distances(np.array(q)).tolist() == want  # bit for bit; synthetic roots are +inf
+    real = [i for i, x in enumerate(nodes) if x is not None]
+    if not real:
+        with pytest.raises(ValueError):
+            tree.nearest(np.array(q))
+        return
+    assert tree.nearest(np.array(q)) == min(real, key=lambda i: (want[i], i))  # lowest id of exact ties
+    radius = data.draw(st.sampled_from([want[i] for i in real]) | st.floats(0.0, 5.0))
+    got = tree.near(np.array(q), radius)
+    assert got == ([i for i in real if want[i] <= radius] if radius > 0 else [])
+
+
 class TestRrtStarExtend:
     def test_empty_neighborhood_insert(self):
         t = Tree(2)
@@ -178,6 +217,37 @@ class TestRrtStarExtend:
         assert rewiring_radius(10.0, 1, 3, 1.0) == 0.0
         assert rewiring_radius(10.0, 100, 3, 1.0) == pytest.approx(
             min(10.0 * (np.log(100) / 100) ** (1 / 3), 1.0))
+
+    def test_radius_equals_numpy_log_form_bit_for_bit(self):
+        for dim in (2, 3, 4, 8):
+            for n in range(2, 5000):
+                assert rewiring_radius(7.3, n, dim, 50.0) == min(7.3 * (np.log(n) / n) ** (1.0 / dim), 50.0)
+
+
+class TestSmallRewrites:
+    """The scalar forms on the extend path against the expressions they replace."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_in_bounds_matches_numpy_form(self, data):
+        special = st.sampled_from([math.nan, 0.0, -0.0, 1.5, -1.5, math.inf, -math.inf])
+        value = special | st.floats(-3.0, 3.0)
+        k = data.draw(st.integers(1, 4))
+        bounds = np.array(data.draw(st.lists(st.tuples(value, value), min_size=k, max_size=k)))
+        q = np.array(data.draw(st.lists(special | st.sampled_from(bounds.ravel().tolist()) | value,
+                                        min_size=k, max_size=k)))
+        old = bool((q >= bounds[:, 0]).all() and (q <= bounds[:, 1]).all())
+        assert planner._in_bounds(q, bounds.tolist()) is old
+
+    def test_single_tree_label_predicates_match_set_forms(self):
+        for n in range(1, 5):
+            labels = [(i,) for i in range(n + 1)] + [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+            for a in labels:
+                for b in labels:
+                    shared = set(a) & set(b)
+                    assert planner._shares_manifold(a, b) is bool(shared)
+                    if shared:
+                        assert planner._last_shared_manifold(a, b) == max(shared)
 
 
 def _old_parent_search(tree, near_id, q_new, neighbors, free):
