@@ -2,10 +2,15 @@
 """Paired wall-time ratios of two seqmp checkouts, timed in one process.
 
     python3 scripts/ab_time.py OLD_ROOT NEW_ROOT --workload point_planners --reps 8
+    python3 scripts/ab_time.py OLD_ROOT NEW_ROOT --scene transport_b_mini --planners psm \
+        --m 300 --seeds-per-planner 3 --reps 4
 
 Loads ``OLD_ROOT/src/seqmp`` and ``NEW_ROOT/src/seqmp`` side by side (as the
 packages ``seqmp_old`` and ``seqmp_new``) and runs the planner jobs of one
-``perfbench/workloads.py`` workload through both, job by job, flipping which
+``perfbench/workloads.py`` workload, or of an ad-hoc ``workloads.Workload``
+built from ``--scene``, ``--planners``, ``--m`` and ``--seeds-per-planner``
+(its planner seeds derive from ``--seed`` as a named workload's do), through
+both, job by job, flipping which
 side goes first on every job. Prints the ratio new/old of each repetition's
 summed wall time (median and quartiles), the median new/old ratio of each
 planner's summed wall time per repetition, each side's success count and
@@ -31,7 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
-from workloads import WORKLOADS, job_groups  # noqa: E402
+from workloads import WORKLOADS, Workload, job_groups  # noqa: E402
 from worker import digest, run_job  # noqa: E402
 
 
@@ -54,14 +59,32 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("old_root")
     ap.add_argument("new_root")
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload", choices=sorted(WORKLOADS))
+    which.add_argument("--scene", help="scene of an ad-hoc workload: a built-in scene id or a scene JSON file")
+    ap.add_argument("--planners", help="ad-hoc workload: comma-separated planners (default psm)")
+    ap.add_argument("--m", type=int, help="ad-hoc workload: samples per phase (default: the scene profile's)")
+    ap.add_argument("--seeds-per-planner", type=int, help="ad-hoc workload (default 2)")
     ap.add_argument("--reps", type=int, default=8)
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args = ap.parse_args()
     if args.reps < 2:
         ap.error("--reps must be at least 2 to give quartiles")
 
-    workload = WORKLOADS[args.workload]
+    ad_hoc = (args.planners, args.m, args.seeds_per_planner)
+    if args.workload:
+        if ad_hoc != (None, None, None):
+            ap.error("--planners, --m and --seeds-per-planner go with --scene, not --workload")
+        workload = WORKLOADS[args.workload]
+        label = args.workload
+    else:
+        planners = args.planners or "psm"
+        seeds = 2 if args.seeds_per_planner is None else args.seeds_per_planner
+        if seeds < 1:
+            ap.error("--seeds-per-planner must be at least 1")
+        workload = Workload(scene=args.scene, planners=tuple(planners.split(",")), seeds_per_planner=seeds,
+                            overrides={} if args.m is None else {"m": args.m})
+        label = f"{args.scene} ({planners}, m={'default' if args.m is None else args.m})"
     sides = []
     for root, name in ((args.old_root, "seqmp_old"), (args.new_root, "seqmp_new")):
         bench = load_bench(root, name)
@@ -93,7 +116,7 @@ def main():
         print(f"rep {rep}: old {wall[0]:.3f} s  new {wall[1]:.3f} s  new/old {ratios[-1]:.3f}", flush=True)
 
     q1, median, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps; new/old median {median:.3f} "
+    print(f"{label}: {len(jobs)} jobs x {args.reps} reps; new/old median {median:.3f} "
           f"(quartiles {q1:.3f}-{q3:.3f})")
     for planner, planner_ratio in planner_ratios.items():
         print(f"  {planner}: new/old median {statistics.median(planner_ratio):.3f}")

@@ -101,13 +101,19 @@ def _run_one(args):
 
 
 def batch(scene, planner, seeds, params=None, jobs=1):
-    """Run one planner over several seeds; returns records in seed order."""
+    """Run one planner over several seeds; returns records in seed order.
+
+    ``jobs`` > 1 runs them in worker processes, at most one per run.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     task = resolve_task(scene)
     base = params if params is not None else default_params(task)
     work = [(scene if not hasattr(scene, "manifolds") else task, planner, replace(base, seed=s))
             for s in seeds]
-    if jobs > 1 and not hasattr(scene, "manifolds"):
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))
+    if workers > 1 and not hasattr(scene, "manifolds"):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, work))
     return [_run_one(w) for w in work]
 

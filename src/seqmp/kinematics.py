@@ -6,9 +6,12 @@ configuration vector. Constraint Jacobians are analytic: the geometric
 Jacobian built from the joint positions and world joint axes of a single
 forward-kinematics pass (Siciliano et al., Robotics: Modelling, Planning and
 Control, ch. 3). Each chain memoises its last FK pass, so the value and the
-Jacobian of a constraint at one configuration share it. Collision sample
-points of a batch of configurations come from one batched pass over all of
-them.
+Jacobian of a constraint at one configuration share it; the constraints
+read the tool point, R and the joint axes straight from that pass. Collision
+sample points of a batch of configurations come from one batched pass over
+all of them, which builds every joint rotation of the batch in one broadcast.
+Both passes start at the first joint instead of multiplying by the identity
+base frame, which gives the same values.
 """
 from __future__ import annotations
 
@@ -40,21 +43,16 @@ _I3 = np.eye(3)
 _I3.flags.writeable = False
 
 
-def _rodrigues_terms(axis):
-    """The angle-free terms ([a]x, a a^T) of a rotation about the unit axis a."""
+def _cross_matrix(axis):
+    """[a]x, the matrix of v -> a x v."""
     x, y, z = axis
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]), np.outer(axis, axis)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _rotations(terms, angles):
-    """Rotation matrices about one unit axis for a batch of angles, shape (n, 3, 3).
-
-    ``terms`` is ``_rodrigues_terms(axis)``. Same entries as ``_rotation``:
-    c*I + s*[a]x + (1 - c)*a a^T.
-    """
-    K, aa = terms
-    c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
-    return (c * _I3 + s * K) + (1.0 - c) * aa
+def _in_frame(R, v):
+    """R @ v, where R None stands for the identity: then v itself, without a
+    product (multiplying by the identity gives the same values)."""
+    return v if R is None else R @ v
 
 
 def _cross(a, b):
@@ -98,11 +96,20 @@ class SerialChain:
         # float arrays of the geometry, converted once instead of on every FK pass
         object.__setattr__(self, "_base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "_tool", np.asarray(self.tool, dtype=float))
-        object.__setattr__(self, "_origins", [np.asarray(j.origin, dtype=float) for j in self.joints])
-        object.__setattr__(self, "_axes", [np.asarray(j.axis, dtype=float) for j in self.joints])
-        object.__setattr__(self, "_axis_floats", [tuple(a.tolist()) for a in self._axes])  # for _rotation
         object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
-        object.__setattr__(self, "_rodrigues", [_rodrigues_terms(a) for a in self._axes])  # built once, not per FK
+        rev = np.flatnonzero(self._revolute)
+        axes = [np.asarray(j.axis, dtype=float) for j in self.joints]
+        # per joint (origin, axis, axis as floats for _rotation, index of its
+        # rotation among the revolute joints or None for a prismatic joint)
+        index = dict(zip(rev.tolist(), range(len(rev))))
+        object.__setattr__(self, "_terms", tuple(
+            (np.asarray(j.origin, dtype=float), a, tuple(a.tolist()), index.get(i))
+            for i, (j, a) in enumerate(zip(self.joints, axes))))
+        # for the batched pass: the revolute columns of Q and their angle-free
+        # Rodrigues terms [a]x and a a^T, stacked (r, 3, 3), built once
+        object.__setattr__(self, "_rev_cols", rev)
+        object.__setattr__(self, "_K", np.array([_cross_matrix(axes[j]) for j in rev]).reshape(-1, 3, 3))
+        object.__setattr__(self, "_aa", np.array([np.outer(axes[j], axes[j]) for j in rev]).reshape(-1, 3, 3))
         # (configuration bytes, fk_frames result) of the last fk_frames call; one
         # tuple replaced whole, so a reader never sees half of an update
         object.__setattr__(self, "_fk_memo", (None, None))
@@ -133,22 +140,20 @@ class SerialChain:
         memo_key, memo = self._fk_memo
         if key == memo_key:
             return memo
-        p = self._base
-        R = _I3
-        pts = [p]
-        axes = []
-        for origin, axis, unit, revolute, qi in zip(self._origins, self._axes, self._axis_floats, self._revolute,
-                                                    q.tolist()):
-            p = p + R @ origin
-            axes.append(R @ axis)
-            if revolute:
-                R = R @ _rotation(unit, qi)
+        pts = np.empty((self.dof + 2, 3))
+        axes = np.empty((self.dof, 3))
+        p = pts[0] = self._base
+        R = None  # the base frame, the identity, until the first revolute joint
+        for j, ((origin, axis, unit, k), qi) in enumerate(zip(self._terms, q.tolist())):
+            p = p + _in_frame(R, origin)
+            axes[j] = _in_frame(R, axis)
+            if k is None:
+                p = p + _in_frame(R, axis * qi)
             else:
-                p = p + R @ (axis * qi)
-            pts.append(p)
-        p = p + R @ self._tool
-        pts.append(p)
-        out = (np.array(pts), R, np.array(axes).reshape(self.dof, 3))
+                R = _in_frame(R, _rotation(unit, qi))
+            pts[j + 1] = p
+        pts[-1] = p + _in_frame(R, self._tool)
+        out = (pts, _I3 if R is None else R, axes)
         for a in out:
             a.flags.writeable = False
         object.__setattr__(self, "_fk_memo", (key, out))
@@ -157,32 +162,31 @@ class SerialChain:
     def fk_frames_batch(self, Q):
         """Frame positions for a batch of configurations Q (n, dof), shape (n, dof + 2, 3).
 
-        The batched form of the positions of ``fk_frames``: one Rodrigues
-        and matmul per joint for the whole batch.
+        The batched form of the positions of ``fk_frames``: the cos and sin
+        of every revolute column in one call each, every joint rotation
+        c*I + s*[a]x + (1 - c)*a a^T in one broadcast, then one matmul per
+        joint for the whole batch, written into one array.
         """
         Q = np.asarray(Q, dtype=float)
-        n = Q.shape[0]
-        p = np.broadcast_to(self._base, (n, 3))
-        R = np.broadcast_to(_I3, (n, 3, 3))
-        pts = [p]
-        for j, (origin, axis, revolute, terms) in enumerate(zip(self._origins, self._axes, self._revolute,
-                                                                 self._rodrigues)):
-            p = p + R @ origin
-            if revolute:
-                R = R @ _rotations(terms, Q[:, j])
+        angles = Q[:, self._rev_cols]
+        c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
+        rot = (c * _I3 + s * self._K) + (1.0 - c) * self._aa
+        out = np.empty((Q.shape[0], self.dof + 2, 3))
+        p = out[:, 0] = self._base
+        R = None  # the identity, until the first revolute joint
+        for j, (origin, axis, _, k) in enumerate(self._terms):
+            p = p + _in_frame(R, origin)
+            if k is None:
+                p = p + _in_frame(R, axis) * Q[:, j, None]
             else:
-                p = p + R @ axis * Q[:, j, None]
-            pts.append(p)
-        pts.append(p + R @ self._tool)
-        return np.stack(pts, axis=1)
+                R = _in_frame(R, rot[:, k])
+            out[:, j + 1] = p
+        out[:, -1] = p + _in_frame(R, self._tool)
+        return out
 
     def fk_point(self, q, local=(0.0, 0.0, 0.0)):
         pts, R, _ = self.fk_frames(q)
         return pts[-1] + R @ np.asarray(local, dtype=float)
-
-    def fk_tool_axis(self, q, local_axis=(0.0, 0.0, 1.0)):
-        _, R, _ = self.fk_frames(q)
-        return R @ np.asarray(local_axis, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -229,8 +233,8 @@ class MultiRobotSystem:
         q = np.asarray(q, dtype=float)
         Q = np.atleast_2d(q)
         pts = []
-        for i, chain in enumerate(self.chains):
-            frames = chain.fk_frames_batch(self.chain_config(Q, i))
+        for chain, lo in zip(self.chains, self.offsets):
+            frames = chain.fk_frames_batch(Q[:, lo:lo + chain.dof])
             pts.append(frames)
             pts.append(0.5 * (frames[:, :-1] + frames[:, 1:]))
         out = np.concatenate(pts, axis=1)
@@ -242,17 +246,24 @@ def fk_position(sys, chain, point, q):
     return sys.chains[chain].fk_point(sys.chain_config(q, chain), point)
 
 
-def _tool_jacobian(sys, chain, q):
-    """Geometric Jacobian of one chain's tool point, in that chain's columns of a (3, sys.dof) array.
+def _chain_columns(sys, chain):
+    """One chain of ``sys`` and the slice of its columns in the stacked configuration."""
+    if not 0 <= chain < len(sys.chains):
+        raise IndexError(f"chain index {chain} out of range")
+    c = sys.chains[chain]
+    lo = sys.offsets[chain]
+    return c, slice(lo, lo + c.dof)
+
+
+def _tool_jacobian(sys, c, cols, q):
+    """Geometric Jacobian of chain c's tool point, in its columns ``cols`` of a (3, sys.dof) array.
 
     Revolute column w_j x (p_tool - o_j), prismatic column w_j, from one FK pass.
     """
-    c = sys.chains[chain]
-    frames, _, axes = c.fk_frames(sys.chain_config(q, chain))
+    frames, _, axes = c.fk_frames(q[cols])
     J = np.zeros((3, sys.dof))
-    lo = sys.offsets[chain]
     w = axes.T
-    J[:, lo:lo + c.dof] = np.where(c._revolute, _cross(w, (frames[-1] - frames[1:-1]).T), w)
+    J[:, cols] = np.where(c._revolute, _cross(w, (frames[-1] - frames[1:-1]).T), w)
     return J
 
 
@@ -261,12 +272,13 @@ def pick_constraint(sys, chain, x_g, name=None):
     x_g = np.asarray(x_g, dtype=float)
     if name is None:
         name = f"pick[{chain}]"
+    c, cols = _chain_columns(sys, chain)
 
     def h(q):
-        return x_g - fk_position(sys, chain, (0.0, 0.0, 0.0), q)
+        return x_g - c.fk_frames(q[cols])[0][-1]
 
     def jac(q):
-        return -_tool_jacobian(sys, chain, q)
+        return -_tool_jacobian(sys, c, cols, q)
 
     return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
 
@@ -275,12 +287,14 @@ def handover_constraint(sys, chain1, chain2, name=None):
     """Constraint that two end effectors coincide."""
     if name is None:
         name = f"handover[{chain1},{chain2}]"
+    c1, cols1 = _chain_columns(sys, chain1)
+    c2, cols2 = _chain_columns(sys, chain2)
 
     def h(q):
-        return fk_position(sys, chain1, (0.0, 0.0, 0.0), q) - fk_position(sys, chain2, (0.0, 0.0, 0.0), q)
+        return c1.fk_frames(q[cols1])[0][-1] - c2.fk_frames(q[cols2])[0][-1]
 
     def jac(q):
-        return _tool_jacobian(sys, chain1, q) - _tool_jacobian(sys, chain2, q)
+        return _tool_jacobian(sys, c1, cols1, q) - _tool_jacobian(sys, c2, cols2, q)
 
     return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
 
@@ -290,19 +304,18 @@ def orientation_constraint(sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
     e_z = np.asarray(e_z, dtype=float)
     if name is None:
         name = f"upright[{chain}]"
-    c = sys.chains[chain]
-    lo = sys.offsets[chain]
+    c, cols = _chain_columns(sys, chain)
 
     def h(q):
-        axis = c.fk_tool_axis(sys.chain_config(q, chain))
-        return np.array([axis @ e_z - 1.0])
+        _, R, _ = c.fk_frames(q[cols])
+        return np.array([R[:, 2] @ e_z - 1.0])
 
     def jac(q):
         # d(R e_z')/dq_j = w_j x (R e_z') for a revolute joint, and
         # (w_j x a) . e_z = w_j . (a x e_z); a prismatic joint does not rotate
-        _, R, axes = c.fk_frames(sys.chain_config(q, chain))
+        _, R, axes = c.fk_frames(q[cols])
         J = np.zeros((1, sys.dof))
-        J[0, lo:lo + c.dof] = np.where(c._revolute, axes @ _cross(R[:, 2], e_z), 0.0)
+        J[0, cols] = np.where(c._revolute, axes @ _cross(R[:, 2], e_z), 0.0)
         return J
 
     return FunctionManifold(sys.dof, 1, h, jac_fn=jac, name=name)

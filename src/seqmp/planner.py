@@ -428,6 +428,27 @@ def _last_shared_manifold(on_a, on_b):
     return on_a[-1] if on_a[-1] in on_b else on_a[0]
 
 
+def _edge_manifold(on_a, on_b, n):
+    """The manifold a single-tree edge lies on and is checked in: the last one
+    its end labels share, the goal's crossing counted as phase n - 1."""
+    return min(_last_shared_manifold(on_a, on_b), n - 1)
+
+
+def _single_tree_path(tree, goal, n):
+    """The path from the root to ``goal`` in a single tree over n phases,
+    cut where the manifold of its edges rises.
+
+    Node phases do not give the cuts: a node on manifold p may hang from a
+    p/p+1 crossing node labelled p + 1, so along a path the phase can rise
+    at that crossing, fall and rise again, while the edges stay on p.
+    """
+    chain = tree.path_to_subroot(goal)[::-1]
+    edges = [_edge_manifold(tree.on[a], tree.on[b], n) for a, b in zip(chain, chain[1:])]
+    cuts = [k for k in range(1, len(edges)) if edges[k] > edges[k - 1]]
+    return _stitch([[tree.config(v) for v in chain[a:b + 1]]
+                    for a, b in zip([0] + cuts, cuts + [len(chain) - 1])])
+
+
 def psm_star_single_tree(task, params, debug=None):
     """Single tree grown over the whole manifold sequence (duplicate threshold 0)."""
     run = _Run(task, params)
@@ -448,8 +469,7 @@ def psm_star_single_tree(task, params, debug=None):
         return _shares_manifold(tree.on[node_id], on_new)
 
     def segment_free(a_id, q, on_new):
-        j = min(_last_shared_manifold(tree.on[a_id], on_new), n - 1)
-        return task.segment_free(tree.config(a_id), q, fs_list[j])
+        return task.segment_free(tree.config(a_id), q, fs_list[_edge_manifold(tree.on[a_id], on_new, n)])
 
     for _ in range(n * params.m):
         new_id = run.extend(tree, run.uniform(), steer, segment_free, label, edge_ok)
@@ -461,12 +481,9 @@ def psm_star_single_tree(task, params, debug=None):
                 goals.append(new_id)
     if not goals:
         raise PlanningFailure(phase=n - 1, message="goal manifold never reached")
-    chain = tree.path_to_subroot(min(goals, key=lambda g: (tree.cost[g], g)))[::-1]
-    cuts = [k for k in range(1, len(chain)) if tree.phase[chain[k]] > tree.phase[chain[k - 1]]]
     if debug is not None:
         debug["tree"] = tree
-    return _stitch([[tree.config(v) for v in chain[a:b + 1]]
-                    for a, b in zip([0] + cuts, cuts + [len(chain) - 1])])
+    return _single_tree_path(tree, min(goals, key=lambda g: (tree.cost[g], g)), n)
 
 
 def rrt_star_ik(task, params, debug=None):

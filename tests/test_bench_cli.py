@@ -67,6 +67,33 @@ class TestRunAndBatch:
         again = bench.batch("point3d_free", "psm", [0, 1], params=FAST)
         assert [r.cost for r in recs] == [r.cost for r in again]
 
+    @pytest.mark.parametrize("jobs, runs, workers", [(64, 2, 2), (2, 3, 2), (10**6, 3, 3), (4, 1, None)])
+    def test_batch_starts_at_most_one_worker_per_run(self, monkeypatch, jobs, runs, workers):
+        started = []
+
+        class InProcessPool:  # records the pool size and runs in this process; no process is started
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        recs = bench.batch("point3d_free", "psm", list(range(runs)), params=FAST, jobs=jobs)
+        assert [r.seed for r in recs] == list(range(runs))
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_batch_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            bench.batch("point3d_free", "psm", [0, 1], params=FAST, jobs=jobs)
+
     def test_single_value_sweep_degenerates_to_aggregate(self):
         res = bench.sweep("point3d_free", "psm", "m", [300], [0, 1])
         recs = bench.batch("point3d_free", "psm", [0, 1], params=PlannerParams(m=300))
@@ -189,6 +216,12 @@ class TestCli:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 0
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 5  # header + 4 runs
+
+    def test_sweep_with_jobs_below_one_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--scene", "point3d_free", "--param", "m", "--values", "100", "--seeds", "2",
+                   "--jobs", "0", "--params", self._params_file(tmp_path, m=100)])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_export_scene_round_trip_via_cli(self, tmp_path, capsys):
         f = tmp_path / "scene.json"

@@ -79,6 +79,13 @@ class TestForwardKinematics:
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
         with pytest.raises(IndexError):
             sys.chain_config(np.zeros(2), 3)
+        for chain in (1, -1):
+            with pytest.raises(IndexError):
+                kin.pick_constraint(sys, chain, (0.0, 0.0, 0.0))
+            with pytest.raises(IndexError):
+                kin.orientation_constraint(sys, chain)
+            with pytest.raises(IndexError):
+                kin.handover_constraint(sys, 0, chain)
 
     def test_prismatic_joint(self):
         chain = kin.SerialChain(
@@ -307,6 +314,43 @@ class TestFkMemo:
         assert np.array_equal(clone.fk_frames(-q)[0], planar_two_link().fk_frames(-q)[0])
 
 
+# --- bit identity with the forms FK and the constraints had before -----------
+# Each reference below is a copy of an earlier form of a kinematics path; the
+# fast paths must give the same floats, not merely close ones.
+
+_AXES = ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6))
+
+
+@st.composite
+def _mixed_chains(draw):
+    """Random chains of revolute and prismatic joints, in any order."""
+    coord = st.floats(-1.0, 1.0)
+    point = st.tuples(coord, coord, coord)
+
+    def axis():
+        v = draw(st.tuples(coord, coord, coord).filter(lambda v: np.linalg.norm(v) > 1e-3))
+        return tuple((np.array(v) / np.linalg.norm(v)).tolist())
+
+    joints = tuple(kin.Joint(draw(st.sampled_from(_AXES)) if draw(st.booleans()) else axis(),
+                             draw(st.sampled_from((kin.REVOLUTE, kin.PRISMATIC))), draw(point))
+                   for _ in range(draw(st.integers(1, 6))))
+    return kin.SerialChain(joints, base=draw(point), tool=draw(point))
+
+
+def _bit_test_chains():
+    """Every chain of both transport systems, and one whose first joint is prismatic."""
+    prismatic_first = kin.SerialChain((kin.Joint((1.0, 0.0, 0.0), kin.PRISMATIC, (0.1, 0.0, 0.2)),
+                                       kin.Joint((0.0, 0.0, 1.0), kin.REVOLUTE, (0.0, 0.3, 0.0)),
+                                       kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.4, 0.0, 0.0))),
+                                      base=(0.2, -0.1, 0.0), tool=(0.3, 0.0, 0.1))
+    return _system("transport_a_mini").chains + _system("transport_b_mini").chains + (prismatic_first,)
+
+
+def _configs(data, dof, n):
+    rows = st.lists(st.floats(-4.0, 4.0), min_size=dof, max_size=dof)
+    return np.array(data.draw(st.lists(rows, min_size=n, max_size=n))).reshape(n, dof)
+
+
 def _fk_frames_batch_rebuilding_terms(chain, Q):
     """fk_frames_batch with the Rodrigues terms I, [a]x and a a^T rebuilt at every joint of every call."""
     n = Q.shape[0]
@@ -348,15 +392,120 @@ def test_rotation_from_python_floats_bit_identical_to_numpy_scalars(v, angle):
     assert kin._rotation(tuple(axis.tolist()), angle).tobytes() == _rotation_numpy_scalars(axis, angle).tobytes()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_fk_bit_identical_to_rebuilt_rodrigues_terms(data):
-    # the per-joint terms are built once per chain; the arithmetic must not change by a bit
-    chains = (_system("transport_a_mini").chains + _system("transport_b_mini").chains
-              + (planar_two_link(), kin.SerialChain((kin.Joint((0.6, 0.0, 0.8), kin.REVOLUTE, (0.1, 0.2, 0.3)),),
-                                                    tool=(0.5, 0.0, 0.0))))
-    chain = data.draw(st.sampled_from(chains))
-    n = data.draw(st.integers(1, 12))
-    rows = st.lists(st.floats(-4.0, 4.0), min_size=chain.dof, max_size=chain.dof)
-    Q = np.array(data.draw(st.lists(rows, min_size=n, max_size=n))).reshape(n, chain.dof)
-    assert np.array_equal(chain.fk_frames_batch(Q), _fk_frames_batch_rebuilding_terms(chain, Q))
+    # one broadcast builds every joint rotation from terms stacked once per
+    # chain, and the pass starts at the first joint; the arithmetic must not
+    # change by a bit from the per-joint loop from the identity base frame
+    chains = _bit_test_chains() + (planar_two_link(), kin.SerialChain(
+        (kin.Joint((0.6, 0.0, 0.8), kin.REVOLUTE, (0.1, 0.2, 0.3)),), tool=(0.5, 0.0, 0.0)))
+    chain = data.draw(st.sampled_from(chains) | _mixed_chains())
+    Q = _configs(data, chain.dof, data.draw(st.integers(1, 64)))
+    want = _fk_frames_batch_rebuilding_terms(chain, Q)
+    assert np.array_equal(chain.fk_frames_batch(Q), want)
+    # body points of two copies of the chain, the second at the configurations in reverse order
+    sys = kin.MultiRobotSystem(chains=(chain, chain))
+    rows = [want, 0.5 * (want[:, :-1] + want[:, 1:])]
+    rows += [r[::-1] for r in rows]
+    assert np.array_equal(sys.body_points(np.hstack([Q, Q[::-1]])), np.concatenate(rows, axis=1))
+
+
+def _fk_frames_identity_base(chain, q):
+    """Scalar FK from the identity base frame: every joint multiplies by R, the first by I."""
+    p = np.asarray(chain.base, dtype=float)
+    R = np.eye(3)
+    pts, axes = [p], []
+    for joint, qi in zip(chain.joints, np.asarray(q, dtype=float).tolist()):
+        axis = np.asarray(joint.axis, dtype=float)
+        p = p + R @ np.asarray(joint.origin, dtype=float)
+        axes.append(R @ axis)
+        if joint.type == kin.REVOLUTE:
+            R = R @ kin._rotation(tuple(axis.tolist()), qi)
+        else:
+            p = p + R @ (axis * qi)
+        pts.append(p)
+    pts.append(p + R @ np.asarray(chain.tool, dtype=float))
+    return np.array(pts), R, np.array(axes).reshape(chain.dof, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalar_fk_bit_identical_to_identity_base_products(data):
+    chain = data.draw(st.sampled_from(_bit_test_chains()) | _mixed_chains())
+    for q in _configs(data, chain.dof, data.draw(st.integers(1, 4))):
+        got = _fresh_copy(chain).fk_frames(q)
+        for a, b in zip(got, _fk_frames_identity_base(chain, q)):
+            assert np.array_equal(a, b)
+
+
+def _old_tool_jacobian(sys, chain, q):
+    """The tool Jacobian as it was built from chain_config."""
+    c = sys.chains[chain]
+    frames, _, axes = c.fk_frames(sys.chain_config(q, chain))
+    J = np.zeros((3, sys.dof))
+    lo = sys.offsets[chain]
+    w = axes.T
+    J[:, lo:lo + c.dof] = np.where(c._revolute, kin._cross(w, (frames[-1] - frames[1:-1]).T), w)
+    return J
+
+
+def _old_tool_axis(sys, chain, q, local_axis=(0.0, 0.0, 1.0)):
+    """The tool axis as fk_tool_axis gave it: R times the local axis."""
+    _, R, _ = sys.chains[chain].fk_frames(sys.chain_config(q, chain))
+    return R @ np.asarray(local_axis, dtype=float)
+
+
+def _old_constraint(kind, sys, args, q):
+    """(h, J) of a pick, handover or orientation constraint, built from fk_position,
+    the tool axis and chain_config."""
+    zero = (0.0, 0.0, 0.0)
+    if kind == "pick":
+        chain, x_g = args
+        return (x_g - kin.fk_position(sys, chain, zero, q), -_old_tool_jacobian(sys, chain, q))
+    if kind == "handover":
+        a, b = args
+        return (kin.fk_position(sys, a, zero, q) - kin.fk_position(sys, b, zero, q),
+                _old_tool_jacobian(sys, a, q) - _old_tool_jacobian(sys, b, q))
+    chain, e_z = args
+    c, lo = sys.chains[chain], sys.offsets[chain]
+    _, R, axes = c.fk_frames(sys.chain_config(q, chain))
+    J = np.zeros((1, sys.dof))
+    J[0, lo:lo + c.dof] = np.where(c._revolute, axes @ kin._cross(R[:, 2], e_z), 0.0)
+    return np.array([_old_tool_axis(sys, chain, q) @ e_z - 1.0]), J
+
+
+@st.composite
+def _constraint_cases(draw):
+    """A system (a transport system, or two or three random chains) and one
+    pick, handover or orientation constraint on it."""
+    if draw(st.booleans()):
+        sys = _system(draw(st.sampled_from(TRANSPORT_SCENES)))
+    else:
+        sys = kin.MultiRobotSystem(chains=tuple(draw(st.lists(_mixed_chains(), min_size=2, max_size=3))))
+    n = len(sys.chains)
+    kind = draw(st.sampled_from(("pick", "handover", "orientation")))
+    coord = st.floats(-1.0, 1.0)
+    if kind == "pick":
+        args = (draw(st.integers(0, n - 1)), np.array(draw(st.tuples(coord, coord, coord))))
+        m = kin.pick_constraint(sys, *args)
+    elif kind == "handover":
+        args = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))  # one chain may meet itself
+        m = kin.handover_constraint(sys, *args)
+    else:
+        e_z = draw(st.sampled_from(((0.0, 0.0, 1.0), (0.6, 0.0, 0.8))) | st.tuples(coord, coord, coord))
+        args = (draw(st.integers(0, n - 1)), np.asarray(e_z, dtype=float))
+        m = kin.orientation_constraint(sys, *args)
+    return sys, kind, args, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_constraint_cases(), data=st.data())
+def test_constraints_bit_identical_to_fk_position_forms(case, data):
+    sys, kind, args, m = case
+    for q in _configs(data, sys.dof, data.draw(st.integers(1, 3))):
+        h, J = m.h(q), m.jacobian(q)
+        # fresh chains, so the reference runs its own FK passes, not the memo
+        fresh = kin.MultiRobotSystem(chains=tuple(map(_fresh_copy, sys.chains)))
+        h_old, J_old = _old_constraint(kind, fresh, args, q)
+        assert np.array_equal(h, h_old) and np.array_equal(J, J_old)

@@ -250,6 +250,33 @@ class TestSmallRewrites:
                         assert planner._last_shared_manifold(a, b) == max(shared)
 
 
+def test_single_tree_path_cuts_where_the_edge_manifold_rises():
+    # a node on the plane (manifold 0) hangs from a plane/cylinder crossing
+    # labelled phase 1, and the path meets the cylinder again at a second crossing
+    task = build_benchmark_scene("plane_cylinder_point")
+    nodes = [((-2.0, 0.0, 0.0), 0, (0,)),    # start, on the plane
+             ((-1.0, 0.0, 0.0), 1, (0, 1)),  # crossing, labelled phase 1
+             ((-0.3, -0.8, 0.0), 0, (0,)),   # on the plane only, child of the crossing
+             ((0.0, -1.0, 0.0), 1, (0, 1)),  # second crossing
+             ((0.6, -0.8, 1.0), 1, (1,)),    # up the cylinder
+             ((1.0, 0.0, 2.0), 1, (1, 2))]   # the goal point
+    tree = Tree(task.ambient_dim)
+    for i, (q, phase, on) in enumerate(nodes):
+        tree.add(np.array(q), parent=i - 1, cost=0.0, phase=phase, on=on)
+    params = PlannerParams()
+    path = planner._single_tree_path(tree, len(nodes) - 1, task.n_phases)
+    assert path.segment_bounds == [3]
+    assert np.array_equal(path.configs, np.array([q for q, _, _ in nodes]))
+    assert validate_solution(task, path, params) == []
+    # cutting where the node phase rises splits the plane segment at the first crossing
+    phases = [phase for _, phase, _ in nodes]
+    cuts = [k for k in range(1, len(nodes)) if phases[k] > phases[k - 1]]
+    assert cuts == [1, 3]
+    by_phase = planner._stitch([[tree.config(v) for v in range(a, b + 1)]
+                                for a, b in zip([0] + cuts, cuts + [len(nodes) - 1])])
+    assert validate_solution(task, by_phase, params) == ["expected 2 segments, got 3"]
+
+
 def _old_parent_search(tree, near_id, q_new, neighbors, free):
     """The eager parent search: check every neighbour that beats the running minimum, in id order.
 
