@@ -5,12 +5,15 @@ A change meant to keep behaviour must leave every line unchanged: run this
 on two checkouts and diff the outputs.
 
     PYTHONPATH=src python3 scripts/path_digests.py > digests.txt
+    PYTHONPATH=src python3 scripts/path_digests.py --scene transport_a_mini --planner psm --seeds 0 1
 
 Robot scenes run at the acceptance m=300, point scenes at their profile
 defaults. Each line is "scene planner seed digest", where the digest hashes
 the path configurations as float64 bytes and is FAILED for a run that found
-no path.
+no path. ``--scene``, ``--planner`` (both repeatable) and ``--seeds`` pick a
+subset; by default every built-in scene x planner runs at seeds 0-2 (60 lines).
 """
+import argparse
 import hashlib
 
 import numpy as np
@@ -30,11 +33,16 @@ def digest(path):
 
 
 def main():
-    for scene in available_scenes():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--scene", action="append", choices=available_scenes(), help="default: every built-in scene")
+    ap.add_argument("--planner", action="append", choices=sorted(PLANNERS), help="default: every planner")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="default: 0 1 2")
+    args = ap.parse_args()
+    for scene in args.scene or available_scenes():
         task = bench.resolve_task(scene)
         overrides = {"m": ROBOT_M} if task.profile == "robot" else None
-        for planner in sorted(PLANNERS):
-            for seed in SEEDS:
+        for planner in args.planner or sorted(PLANNERS):
+            for seed in args.seeds:
                 params = bench.params_with_overrides(task, overrides, seed=seed)
                 _, path = bench.run(task, planner, params)
                 print(f"{scene} {planner} {seed} {digest(path)}", flush=True)

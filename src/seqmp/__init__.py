@@ -8,7 +8,6 @@ from .manifolds import (
     Manifold,
     Paraboloid,
     PointGoal,
-    Sphere,
     evaluate,
     fd_jacobian,
     project,

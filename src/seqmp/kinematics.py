@@ -5,9 +5,11 @@ origin offset. A MultiRobotSystem stacks several chains into one
 configuration vector. Constraint Jacobians are analytic: the geometric
 Jacobian built from the joint positions and world joint axes of a single
 forward-kinematics pass (Siciliano et al., Robotics: Modelling, Planning and
-Control, ch. 3). Each chain memoises its last FK pass, so the value and the
-Jacobian of a constraint at one configuration share it; the constraints
-read the tool point, R and the joint axes straight from that pass. Collision
+Control, ch. 3). Each chain caches its last ``FK_CACHE_SIZE`` FK passes, so
+the value and the Jacobian of a constraint at one configuration share one
+pass, and a configuration evaluated again (a node steered from twice, a
+projection that lands on a node) costs a lookup; the constraints read the
+tool point, R and the joint axes straight from that pass. Collision
 sample points of a batch of configurations come from one batched pass over
 all of them, which builds every joint rotation of the batch in one broadcast.
 Both passes start at the first joint instead of multiplying by the identity
@@ -16,7 +18,8 @@ base frame, which gives the same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from .manifolds import FunctionManifold
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
+
+# FK passes each chain keeps, oldest evicted first; about 0.9 KB an entry
+FK_CACHE_SIZE = 512
 
 
 def _rotation(axis, angle):
@@ -97,6 +103,7 @@ class SerialChain:
         object.__setattr__(self, "_base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "_tool", np.asarray(self.tool, dtype=float))
         object.__setattr__(self, "_revolute", np.array([j.type == REVOLUTE for j in self.joints], dtype=bool))
+        object.__setattr__(self, "_all_revolute", bool(self._revolute.all()))
         rev = np.flatnonzero(self._revolute)
         axes = [np.asarray(j.axis, dtype=float) for j in self.joints]
         # per joint (origin, axis, axis as floats for _rotation, index of its
@@ -110,9 +117,13 @@ class SerialChain:
         object.__setattr__(self, "_rev_cols", rev)
         object.__setattr__(self, "_K", np.array([_cross_matrix(axes[j]) for j in rev]).reshape(-1, 3, 3))
         object.__setattr__(self, "_aa", np.array([np.outer(axes[j], axes[j]) for j in rev]).reshape(-1, 3, 3))
-        # (configuration bytes, fk_frames result) of the last fk_frames call; one
-        # tuple replaced whole, so a reader never sees half of an update
-        object.__setattr__(self, "_fk_memo", (None, None))
+        # configuration bytes -> fk_frames result, in insertion order; each
+        # operation on it is one atomic dict operation, so threads may share it
+        object.__setattr__(self, "_fk_cache", OrderedDict())
+
+    def __reduce__(self):
+        # rebuilt from the fields, so a clone starts with an empty cache
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dof(self):
@@ -131,32 +142,47 @@ class SerialChain:
         joint's world axis w_j = R_{j-1} axis_j, the rotation or sliding
         direction the geometric Jacobian needs.
 
-        The last configuration's result is memoised, so evaluating a
-        constraint and its Jacobian at one q runs FK once. The returned
-        arrays are that memo and are read-only.
+        Results are cached per chain, keyed on the bytes of q, for the last
+        ``FK_CACHE_SIZE`` configurations, so evaluating a constraint and its
+        Jacobian at one q runs FK once. The returned arrays are the cached
+        ones and are read-only.
         """
         q = np.asarray(q, dtype=float)
         key = q.tobytes()
-        memo_key, memo = self._fk_memo
-        if key == memo_key:
-            return memo
+        cache = self._fk_cache
+        out = cache.get(key)
+        if out is not None:
+            return out
         pts = np.empty((self.dof + 2, 3))
         axes = np.empty((self.dof, 3))
         p = pts[0] = self._base
         R = None  # the base frame, the identity, until the first revolute joint
         for j, ((origin, axis, unit, k), qi) in enumerate(zip(self._terms, q.tolist())):
-            p = p + _in_frame(R, origin)
-            axes[j] = _in_frame(R, axis)
-            if k is None:
-                p = p + _in_frame(R, axis * qi)
+            if R is None:  # a product by the identity gives the same values: skip it
+                p = p + origin
+                axes[j] = axis
+                if k is None:
+                    p = p + axis * qi
+                else:
+                    R = _rotation(unit, qi)
             else:
-                R = _in_frame(R, _rotation(unit, qi))
+                p = p + R @ origin
+                axes[j] = R @ axis
+                if k is None:
+                    p = p + R @ (axis * qi)
+                else:
+                    R = R @ _rotation(unit, qi)
             pts[j + 1] = p
         pts[-1] = p + _in_frame(R, self._tool)
         out = (pts, _I3 if R is None else R, axes)
         for a in out:
             a.flags.writeable = False
-        object.__setattr__(self, "_fk_memo", (key, out))
+        cache[key] = out
+        if len(cache) > FK_CACHE_SIZE:
+            try:
+                cache.popitem(last=False)
+            except KeyError:  # another thread emptied it first
+                pass
         return out
 
     def fk_frames_batch(self, Q):
@@ -218,10 +244,6 @@ class MultiRobotSystem:
     def joint_limits(self):
         return np.vstack([c.joint_limits() for c in self.chains])
 
-    def within_limits(self, q):
-        lim = self.joint_limits()
-        return bool(np.all(q >= lim[:, 0]) and np.all(q <= lim[:, 1]))
-
     def body_points(self, q):
         """Collision sample points: every joint frame plus link midpoints.
 
@@ -255,16 +277,27 @@ def _chain_columns(sys, chain):
     return c, slice(lo, lo + c.dof)
 
 
+def _in_columns(sys, cols, block):
+    """``block`` in the columns ``cols`` of an (l, sys.dof) array of zeros, or
+    ``block`` itself when those columns are all of them."""
+    if block.shape[1] == sys.dof:
+        return block
+    J = np.zeros((block.shape[0], sys.dof))
+    J[:, cols] = block
+    return J
+
+
 def _tool_jacobian(sys, c, cols, q):
     """Geometric Jacobian of chain c's tool point, in its columns ``cols`` of a (3, sys.dof) array.
 
     Revolute column w_j x (p_tool - o_j), prismatic column w_j, from one FK pass.
     """
     frames, _, axes = c.fk_frames(q[cols])
-    J = np.zeros((3, sys.dof))
     w = axes.T
-    J[:, cols] = np.where(c._revolute, _cross(w, (frames[-1] - frames[1:-1]).T), w)
-    return J
+    block = _cross(w, (frames[-1] - frames[1:-1]).T)
+    if not c._all_revolute:
+        block = np.where(c._revolute, block, w)
+    return _in_columns(sys, cols, block)
 
 
 def pick_constraint(sys, chain, x_g, name=None):
@@ -314,8 +347,9 @@ def orientation_constraint(sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
         # d(R e_z')/dq_j = w_j x (R e_z') for a revolute joint, and
         # (w_j x a) . e_z = w_j . (a x e_z); a prismatic joint does not rotate
         _, R, axes = c.fk_frames(q[cols])
-        J = np.zeros((1, sys.dof))
-        J[0, cols] = np.where(c._revolute, axes @ _cross(R[:, 2], e_z), 0.0)
-        return J
+        row = axes @ _cross(R[:, 2], e_z)
+        if not c._all_revolute:
+            row = np.where(c._revolute, row, 0.0)
+        return _in_columns(sys, cols, row[None])
 
     return FunctionManifold(sys.dof, 1, h, jac_fn=jac, name=name)

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-6
 DEFAULT_SV_TOL = 1e-9
 DEFAULT_MAX_ITERS = 200
 DIVERGENCE_PATIENCE = 10
@@ -19,9 +18,9 @@ DIVERGENCE_PATIENCE = 10
 class Manifold:
     """Base class for an implicit constraint h(q) = 0.
 
-    Subclasses must set ``ambient_dim`` and ``codim`` and implement ``h``.
-    If no analytic ``jacobian`` is provided, a central finite-difference
-    fallback is used.
+    Subclasses must set ``ambient_dim`` and ``codim`` and implement ``h``
+    and its analytic ``jacobian``; ``fd_jacobian`` is the finite-difference
+    check of the latter.
     """
 
     name = "manifold"
@@ -40,7 +39,7 @@ class Manifold:
         raise NotImplementedError
 
     def jacobian(self, q):
-        return fd_jacobian(self, q, DEFAULT_FD_STEP)
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.ambient_dim}, l={self.codim}, name={self.name!r})"
@@ -199,25 +198,6 @@ class Cylinder(Manifold):
         return np.array([[2.0 * self.coeff * q[0], 2.0 * self.coeff * q[1], 0.0]])
 
 
-class Sphere(Manifold):
-    """h(q) = ||q - center|| - radius."""
-
-    def __init__(self, radius=1.0, center=None, dim=3, name="sphere"):
-        super().__init__(dim, 1, name)
-        self.radius = float(radius)
-        self.center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-
-    def h(self, q):
-        return np.array([np.linalg.norm(q - self.center) - self.radius])
-
-    def jacobian(self, q):
-        d = q - self.center
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            return np.zeros((1, self.ambient_dim))
-        return (d / n)[None, :]
-
-
 class PointGoal(Manifold):
     """h(q) = q - target; the goal manifold for a fixed configuration."""
 
@@ -251,29 +231,39 @@ class AffinePlane(Manifold):
 
 
 class FunctionManifold(Manifold):
-    """Manifold defined by a user-supplied constraint function.
+    """Manifold defined by a user-supplied constraint function and its Jacobian.
 
-    The Jacobian falls back to central finite differences when ``jac_fn``
-    is not given, so constraints can be specified by h alone.
+    A result that already is a float64 array of the right rank is returned
+    as it is; anything else is converted. A Jacobian that is not (l, k)
+    raises ValueError.
     """
 
-    def __init__(self, ambient_dim, codim, h_fn, jac_fn=None, name="function_manifold", fd_step=DEFAULT_FD_STEP):
+    def __init__(self, ambient_dim, codim, h_fn, jac_fn, name="function_manifold"):
         super().__init__(ambient_dim, codim, name)
         self._h_fn = h_fn
         self._jac_fn = jac_fn
-        self.fd_step = fd_step
 
     def h(self, q):
-        return np.atleast_1d(np.asarray(self._h_fn(q), dtype=float))
+        out = self._h_fn(q)
+        if type(out) is np.ndarray and out.dtype == np.float64 and out.ndim == 1:
+            return out
+        return np.atleast_1d(np.asarray(out, dtype=float))
 
     def jacobian(self, q):
-        if self._jac_fn is not None:
-            return np.asarray(self._jac_fn(q), dtype=float)
-        return fd_jacobian(self, q, self.fd_step)
+        J = self._jac_fn(q)
+        if type(J) is not np.ndarray or J.dtype != np.float64:
+            J = np.asarray(J, dtype=float)
+        if J.shape != (self.codim, self.ambient_dim):
+            raise ValueError(f"constraint {self.name} returned a Jacobian of shape {J.shape}, "
+                             f"expected ({self.codim}, {self.ambient_dim})")
+        return J
 
 
 class Intersection(Manifold):
-    """Stack of two constraints: h = [h1; h2], the manifold M1 ∩ M2."""
+    """Stack of two constraints: h = [h1; h2], the manifold M1 ∩ M2.
+
+    Each part's ``h`` returns an (l_i,) and its ``jacobian`` an (l_i, k) array.
+    """
 
     def __init__(self, first, second, name=None):
         if first.ambient_dim != second.ambient_dim:
@@ -285,7 +275,7 @@ class Intersection(Manifold):
         self.second = second
 
     def h(self, q):
-        return np.concatenate([np.atleast_1d(self.first.h(q)), np.atleast_1d(self.second.h(q))])
+        return np.concatenate((self.first.h(q), self.second.h(q)))
 
     def jacobian(self, q):
-        return np.vstack([np.atleast_2d(self.first.jacobian(q)), np.atleast_2d(self.second.jacobian(q))])
+        return np.concatenate((self.first.jacobian(q), self.second.jacobian(q)))

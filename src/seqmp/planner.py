@@ -550,8 +550,9 @@ def validate_solution(task, path, params, step_slack=None):
     """Independent check of a solution path against the task definition.
 
     Verifies per-segment constraint residuals, boundary continuity, bounded
-    step lengths, collision freedom under the per-segment free space, and
-    cost bookkeeping. Returns a list of violation strings (empty if valid).
+    step lengths, joint limits, collision freedom under the per-segment free
+    space, and cost bookkeeping. Returns a list of violation strings (empty
+    if valid).
     """
     violations = []
     eps = params.eps * (1.0 + 1e-9) + 1e-12
@@ -566,6 +567,10 @@ def validate_solution(task, path, params, step_slack=None):
         return violations
     if not np.allclose(path.configs[0], task.start()):
         violations.append("path does not start at the task start configuration")
+    if task.system is not None:
+        lim = task.system.joint_limits()
+        for v in np.flatnonzero(((path.configs < lim[:, 0]) | (path.configs > lim[:, 1])).any(axis=1)):
+            violations.append(f"vertex {v}: outside the joint limits")
     fs = task.free_space
     for j, (a, b) in enumerate(segs):
         m = task.manifolds[j]

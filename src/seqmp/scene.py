@@ -413,10 +413,10 @@ def task_from_dict(d):
     manifold or an attach effect has no system to act on, the manifolds,
     ``start`` and ``bounds`` disagree on the number of configuration
     coordinates, a ``bounds`` entry is not a finite [lo, hi] pair with
-    lo <= hi, ``profile``, ``collision_step`` or a transition effect holds a
-    value outside its allowed set, two transitions share a trigger or one's
-    trigger is not a phase index, or an attach or detach names an object
-    that is not there to take at its phase.
+    lo <= hi or leaves its joint's limits, ``profile``, ``collision_step``
+    or a transition effect holds a value outside its allowed set, two
+    transitions share a trigger or one's trigger is not a phase index, or an
+    attach or detach names an object that is not there to take at its phase.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")
@@ -438,6 +438,10 @@ def task_from_dict(d):
     for j, b in enumerate(d["bounds"]):
         if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_finite_real, b)) and b[0] <= b[1]):
             raise ValueError(f"bounds entry {j} must be a [lo, hi] pair of finite numbers with lo <= hi, got {b!r}")
+    if system is not None:
+        for j, (b, (lo, hi)) in enumerate(zip(d["bounds"], system.joint_limits().tolist())):
+            if b[0] < lo or b[1] > hi:
+                raise ValueError(f"bounds entry {j} {b!r} leaves the joint limits [{lo!r}, {hi!r}] of its joint")
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
         tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
     transitions = _from_entries("transition", d.get("transitions", ()), lambda r: _transition_from_dict(r, system))

@@ -247,6 +247,8 @@ _NAMED_ENTRY_CASES = {
     "bounds_reversed": ("bounds entry 0", "[6.0, -6.0]"),
     "bounds_infinite": ("bounds entry 0", "inf"),
     "bounds_nan": ("bounds entry 0", "nan"),
+    "bounds_below_joint_limits": ("bounds entry 1", "[-2.5, 2.2]", "joint limits [-2.2, 2.2]"),
+    "bounds_above_joint_limits": ("bounds entry 0", "[-3.0, 3.5]", "joint limits"),
     "trigger_out_of_range": ("transition 1", "trigger 7"),
     "trigger_repeated": ("transition 1", "trigger 0", "transition 0"),
     "trigger_not_an_integer": ("transition 1", "trigger '1'"),
@@ -326,6 +328,11 @@ def _bad_scene_files():
                       ("bounds_nan", [float("nan"), 6.0])):
         d = copy.deepcopy(point)
         d["bounds"][0] = bad
+        out[case] = d
+    for case, j, bad in (("bounds_below_joint_limits", 1, [-2.5, 2.2]),
+                         ("bounds_above_joint_limits", 0, [-3.0, 3.5])):
+        d = copy.deepcopy(robot)
+        d["bounds"][j] = bad
         out[case] = d
     for case, trigger in (("trigger_out_of_range", 7), ("trigger_repeated", 0), ("trigger_not_an_integer", "1")):
         d = copy.deepcopy(robot)

@@ -1,4 +1,10 @@
 """Forward kinematics and the pick/handover/orientation constraint constructors."""
+import copy
+import pickle
+import sys as _sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,10 +107,10 @@ class TestForwardKinematics:
 
     def test_joint_limits(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
-        lim = sys.joint_limits()
-        assert lim.shape == (2, 2)
-        assert sys.within_limits(np.zeros(2))
-        assert not sys.within_limits(np.array([4.0, 0.0]))
+        assert np.array_equal(sys.joint_limits(), [[-np.pi, np.pi]] * 2)
+        limited = kin.SerialChain(planar_two_link().joints, limits=((-1.0, 1.0), (0.0, 2.0)))
+        sys = kin.MultiRobotSystem(chains=(planar_two_link(), limited))
+        assert np.array_equal(sys.joint_limits(), [[-np.pi, np.pi]] * 2 + [[-1.0, 1.0], [0.0, 2.0]])
 
 
 class TestPickConstraint:
@@ -284,26 +290,48 @@ class TestFkMemo:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_results_equal_a_memo_free_computation(self, data):
+        # more distinct configurations than a small cache holds, called on
+        # interleaved chains: the cache keeps each chain's last `size` passes
+        size = data.draw(st.integers(2, 3))
         chains = _memo_chains()
         coord = st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(-3.0, 3.0)
-        configs = data.draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=4))
+        configs = data.draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=6))
         calls = data.draw(st.lists(st.tuples(st.integers(0, len(chains) - 1),
-                                             st.integers(0, len(configs) - 1)), min_size=1, max_size=12))
-        q = np.empty(2)  # one buffer written in place: the memo must key on values, not identity
-        for c, k in calls:
-            chain = chains[c]
-            q[:] = configs[k]
-            got = chain.fk_frames(q)
-            want = _fresh_copy(chain).fk_frames(q.copy())
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-                assert not a.flags.writeable
-            assert np.allclose(got[0], chain.fk_frames_batch(q[None])[0], rtol=0.0, atol=1e-12)
-            assert got[0][-1] == pytest.approx(_oracle_fk(chain, q), abs=1e-12)
+                                             st.integers(0, len(configs) - 1)), min_size=1, max_size=24))
+        kept = [{} for _ in chains]  # per chain, key -> result, in insertion order: the cache's model
+        q = np.empty(2)  # one buffer written in place: the cache must key on values, not identity
+        with mock.patch.object(kin, "FK_CACHE_SIZE", size):
+            for c, k in calls:
+                chain = chains[c]
+                q[:] = configs[k]
+                key = q.tobytes()
+                got = chain.fk_frames(q)
+                if key in kept[c]:
+                    assert got is kept[c][key]
+                else:
+                    kept[c][key] = got
+                    if len(kept[c]) > size:
+                        del kept[c][next(iter(kept[c]))]
+                assert list(chain._fk_cache) == list(kept[c])
+                want = _fresh_copy(chain).fk_frames(q.copy())
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                    assert not a.flags.writeable
+                assert np.allclose(got[0], chain.fk_frames_batch(q[None])[0], rtol=0.0, atol=1e-12)
+                assert got[0][-1] == pytest.approx(_oracle_fk(chain, q), abs=1e-12)
+
+    def test_cache_holds_at_most_its_bound(self):
+        chain = planar_two_link()
+        first = chain.fk_frames(np.zeros(2))
+        for x in np.linspace(0.01, 1.0, kin.FK_CACHE_SIZE + 10):
+            chain.fk_frames(np.array([x, -x]))
+        assert len(chain._fk_cache) == kin.FK_CACHE_SIZE
+        again = chain.fk_frames(np.zeros(2))  # evicted, so computed anew
+        assert again is not first
+        for a, b in zip(again, first):
+            assert np.array_equal(a, b)
 
     def test_memoised_chain_pickles_and_compares_equal(self):
-        import pickle
-
         chain = planar_two_link()
         q = np.array([0.3, -0.2])
         chain.fk_frames(q)
@@ -312,6 +340,51 @@ class TestFkMemo:
         assert hash(chain) == hash(planar_two_link())
         assert np.array_equal(clone.fk_frames(q)[0], chain.fk_frames(q)[0])
         assert np.array_equal(clone.fk_frames(-q)[0], planar_two_link().fk_frames(-q)[0])
+
+    @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
+    def test_a_clone_starts_with_an_empty_cache(self, clone):
+        chain = _system("transport_b_mini").chains[2]
+        for q in ([0.3, -0.2], [0.1, 0.4]):
+            chain.fk_frames(np.array(q))
+        twin = clone(chain)
+        assert len(chain._fk_cache) == 2 and len(twin._fk_cache) == 0
+        assert twin._fk_cache is not chain._fk_cache
+        got = twin.fk_frames(np.array([0.3, -0.2]))
+        assert len(chain._fk_cache) == 2 and len(twin._fk_cache) == 1
+        for a, b in zip(got, chain.fk_frames(np.array([0.3, -0.2]))):
+            assert np.array_equal(a, b)
+
+    def test_two_threads_share_one_chain(self):
+        # each thread cycles through its own configurations on one chain whose
+        # cache of 3 entries is smaller than either set, so both threads insert
+        # and evict at once; every result must still be the uncached one
+        chain = _system("transport_a_mini").chains[0]
+        rng = np.random.default_rng(11)
+        sets = [rng.uniform(-2.0, 2.0, size=(5, chain.dof)) for _ in range(2)]
+        want = [[_fresh_copy(chain).fk_frames(q) for q in qs] for qs in sets]
+        bad = []
+
+        def work(t):
+            for i in range(3000):
+                k = (i * 7 + t) % 5
+                got = chain.fk_frames(sets[t][k])
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[t][k])):
+                    bad.append((t, i))
+
+        interval = _sys.getswitchinterval()
+        _sys.setswitchinterval(1e-6)  # switch threads often
+        try:
+            with mock.patch.object(kin, "FK_CACHE_SIZE", 3):
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+        finally:
+            _sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
+        assert len(chain._fk_cache) <= 3
 
 
 # --- bit identity with the forms FK and the constraints had before -----------
@@ -477,12 +550,12 @@ def _old_constraint(kind, sys, args, q):
 
 @st.composite
 def _constraint_cases(draw):
-    """A system (a transport system, or two or three random chains) and one
+    """A system (a transport system, or one to three random chains) and one
     pick, handover or orientation constraint on it."""
     if draw(st.booleans()):
         sys = _system(draw(st.sampled_from(TRANSPORT_SCENES)))
     else:
-        sys = kin.MultiRobotSystem(chains=tuple(draw(st.lists(_mixed_chains(), min_size=2, max_size=3))))
+        sys = kin.MultiRobotSystem(chains=tuple(draw(st.lists(_mixed_chains(), min_size=1, max_size=3))))
     n = len(sys.chains)
     kind = draw(st.sampled_from(("pick", "handover", "orientation")))
     coord = st.floats(-1.0, 1.0)
@@ -509,3 +582,28 @@ def test_constraints_bit_identical_to_fk_position_forms(case, data):
         fresh = kin.MultiRobotSystem(chains=tuple(map(_fresh_copy, sys.chains)))
         h_old, J_old = _old_constraint(kind, fresh, args, q)
         assert np.array_equal(h, h_old) and np.array_equal(J, J_old)
+
+
+def _tool_jacobian_where_and_zeros(sys, c, cols, q):
+    """The tool Jacobian as it was: np.where over every column and a zero array the block is written into."""
+    frames, _, axes = c.fk_frames(q[cols])
+    J = np.zeros((3, sys.dof))
+    w = axes.T
+    J[:, cols] = np.where(c._revolute, kin._cross(w, (frames[-1] - frames[1:-1]).T), w)
+    return J
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains=st.lists(st.sampled_from(_bit_test_chains() + (planar_two_link(),)) | _mixed_chains(),
+                       min_size=1, max_size=3), data=st.data())
+def test_tool_jacobian_bit_identical_to_where_and_zeros_form(chains, data):
+    # an all-revolute chain skips np.where, and a chain that spans every column
+    # returns its block without the zero array; neither may change a bit
+    sys = kin.MultiRobotSystem(chains=tuple(map(_fresh_copy, chains)))
+    for q in _configs(data, sys.dof, data.draw(st.integers(1, 3))):
+        for chain in range(len(sys.chains)):
+            c, cols = kin._chain_columns(sys, chain)
+            got = kin._tool_jacobian(sys, c, cols, q)
+            want = _tool_jacobian_where_and_zeros(sys, c, cols, q)
+            assert got.shape == want.shape == (3, sys.dof)
+            assert got.tobytes() == want.tobytes()

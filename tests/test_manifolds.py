@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from seqmp.manifolds import (
     AffinePlane,
     Cylinder,
+    FunctionManifold,
     Intersection,
     Manifold,
     Paraboloid,
     PointGoal,
-    Sphere,
     evaluate,
     fd_jacobian,
     newton_step,
@@ -20,7 +20,9 @@ from seqmp.manifolds import (
     tangent_component,
     tangent_nullspace,
 )
+from seqmp import kinematics as kin
 from seqmp.scene import build_benchmark_scene
+from sphere import Sphere
 
 RNG = np.random.default_rng(1234)
 
@@ -323,3 +325,94 @@ def test_evaluate_converts_outputs_and_rejects_wrong_shapes(shape, dtype, as_lis
     got = evaluate(m, np.zeros(2))
     assert got.dtype == np.float64 and got.shape == (codim,)
     assert np.array_equal(got, expected)
+
+
+class TestAnalyticJacobianRequired:
+    def test_base_class_has_no_jacobian(self):
+        with pytest.raises(NotImplementedError):
+            _Returns(np.zeros(1), 1).jacobian(np.zeros(2))
+
+    def test_function_manifold_needs_a_jacobian(self):
+        with pytest.raises(TypeError):
+            FunctionManifold(2, 1, lambda q: q[:1])
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((2, 2)), np.zeros((1, 3)), [[1.0, 2.0, 3.0]], 0.0])
+    def test_function_manifold_rejects_a_jacobian_of_the_wrong_shape(self, bad):
+        m = FunctionManifold(2, 1, lambda q: q[:1], lambda q: bad, name="bent")
+        with pytest.raises(ValueError, match=r"bent returned a Jacobian of shape .*expected \(1, 2\)"):
+            m.jacobian(np.zeros(2))
+
+
+# --- bit identity with the forms FunctionManifold and Intersection had before ---
+
+def _old_function_h(m, q):
+    return np.atleast_1d(np.asarray(m._h_fn(q), dtype=float))
+
+
+def _old_function_jacobian(m, q):
+    return np.asarray(m._jac_fn(q), dtype=float)
+
+
+def _old_intersection_h(m, q):
+    return np.concatenate([np.atleast_1d(m.first.h(q)), np.atleast_1d(m.second.h(q))])
+
+
+def _old_intersection_jacobian(m, q):
+    return np.vstack([np.atleast_2d(m.first.jacobian(q)), np.atleast_2d(m.second.jacobian(q))])
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _constraint_layer():
+    """Every manifold the planners build: the point-scene ones, the kinematic
+    constraints of both transport scenes (FunctionManifolds), and each pair of
+    consecutive ones intersected, once nested."""
+    point, robot = [], []
+    for name in ("point3d_free", "point3d_obstacles", "plane_cylinder_point"):
+        point += build_benchmark_scene(name).manifolds
+    for name in ("transport_a_mini", "transport_b_mini"):
+        ms = build_benchmark_scene(name).manifolds
+        sys = build_benchmark_scene(name).system
+        robot.append(list(ms) + [kin.orientation_constraint(sys, 0, e_z=(0.6, 0.0, 0.8))])
+    out = []
+    for ms in [point] + robot:
+        pairs = [Intersection(a, b) for a, b in zip(ms, ms[1:])]
+        out += ms + pairs + [Intersection(pairs[0], ms[-1])]
+    return out
+
+
+_LAYER = _constraint_layer()
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, len(_LAYER) - 1), data=st.data())
+def test_constraint_layer_bit_identical_to_stacked_forms(index, data):
+    m = _LAYER[index]
+    q = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m.ambient_dim, max_size=m.ambient_dim)))
+    if isinstance(m, Intersection):
+        old_h, old_jacobian = _old_intersection_h, _old_intersection_jacobian
+    elif isinstance(m, FunctionManifold):
+        old_h, old_jacobian = _old_function_h, _old_function_jacobian
+    else:
+        old_h, old_jacobian = type(m).h, type(m).jacobian
+    assert _same(m.h(q), old_h(m, q)), m.name
+    assert _same(m.jacobian(q), old_jacobian(m, q)), m.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(out=st.sampled_from([0.5, [0.5], (0.5, -1.0), np.float32(0.5), np.arange(2), np.arange(2.0),
+                            np.arange(2, dtype=np.float32), np.zeros((1, 2))]),
+       jac=st.sampled_from([[[1.0, 2.0]], np.ones((1, 2)), np.ones((1, 2), dtype=np.int64),
+                            np.ones((1, 2), dtype=np.float32), np.asfortranarray(np.ones((1, 2)))]))
+def test_function_manifold_converts_as_before(out, jac):
+    # a float64 array of the right rank is returned as it is, anything else converted as before
+    m = FunctionManifold(2, 1, lambda q: out, lambda q: jac)
+    q = np.zeros(2)
+    assert _same(m.h(q), _old_function_h(m, q))
+    assert _same(m.jacobian(q), _old_function_jacobian(m, q))
+    if type(out) is np.ndarray and out.dtype == np.float64 and out.ndim == 1:
+        assert m.h(q) is out
+    if type(jac) is np.ndarray and jac.dtype == np.float64:
+        assert m.jacobian(q) is jac

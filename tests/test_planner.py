@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmp import kinematics as kin
 from seqmp import planner
-from seqmp.manifolds import AffinePlane, PointGoal, Sphere, evaluate
+from seqmp.manifolds import AffinePlane, PointGoal, evaluate
 from seqmp.planner import (
     PlannerParams,
     PlanningFailure,
@@ -24,6 +25,7 @@ from seqmp.planner import (
     validate_solution,
 )
 from seqmp.scene import Task, build_benchmark_scene
+from sphere import Sphere
 
 RNG = np.random.default_rng(2718)
 FREE = lambda a, q: True
@@ -275,6 +277,24 @@ def test_single_tree_path_cuts_where_the_edge_manifold_rises():
     by_phase = planner._stitch([[tree.config(v) for v in range(a, b + 1)]
                                 for a, b in zip([0] + cuts, cuts + [len(nodes) - 1])])
     assert validate_solution(task, by_phase, params) == ["expected 2 segments, got 3"]
+
+
+def test_validator_reports_vertices_outside_the_joint_limits():
+    # a two-link arm that holds q0 = 0 and turns its second joint to the goal
+    # q1 = 1.5; every vertex is on its manifold and within bounds
+    def task(limits):
+        chain = kin.SerialChain((kin.Joint((0.0, 0.0, 1.0)), kin.Joint((0.0, 0.0, 1.0), origin=(1.0, 0.0, 0.0))),
+                                tool=(1.0, 0.0, 0.0), limits=limits)
+        return Task(name="arm", manifolds=(AffinePlane([[1.0, 0.0]], [0.0]), PointGoal((0.0, 1.5))),
+                    q_start=(0.0, 0.0), bounds=((-3.0, 3.0),) * 2, system=kin.MultiRobotSystem(chains=(chain,)))
+
+    configs = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]])
+    path = planner.SolutionPath(configs, [], polyline_length(configs))
+    params = PlannerParams()
+    assert validate_solution(task(((-1.0, 1.0), (-2.0, 2.0))), path, params) == []
+    assert validate_solution(task(((-1.0, 1.0), (-0.75, 0.75))), path, params) == [
+        "vertex 2: outside the joint limits", "vertex 3: outside the joint limits"]
+    assert validate_solution(task(((0.0, 1.0), (-2.0, 2.0))), path, params) == []  # a limit is inclusive
 
 
 def _old_parent_search(tree, near_id, q_new, neighbors, free):
