@@ -3,7 +3,6 @@
 from .manifolds import (
     AffinePlane,
     Cylinder,
-    FunctionManifold,
     Intersection,
     Manifold,
     Paraboloid,
@@ -13,7 +12,7 @@ from .manifolds import (
     project,
     tangent_nullspace,
 )
-from .steering import SteerParams, psm_steer, steer_constraint, steer_point
+from .steering import psm_steer, steer_constraint, steer_point
 from .planner import (
     PLANNERS,
     PlannerParams,

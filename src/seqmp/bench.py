@@ -47,6 +47,8 @@ def default_params(task, seed=0):
 
 def params_with_overrides(task, overrides=None, seed=None):
     """Profile defaults for a task, updated from an override mapping."""
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ValueError(f"planner parameter overrides must be a JSON object, got {overrides!r}")
     params = default_params(task)
     if overrides:
         unknown = set(overrides) - {f.name for f in dataclasses.fields(PlannerParams)}
@@ -94,25 +96,22 @@ def run(task, planner, params):
 
 
 def _run_one(args):
-    scene, planner, params = args
-    task = resolve_task(scene)
-    record, _ = run(task, planner, params)
-    return record
+    return run(*args)[0]
 
 
 def batch(scene, planner, seeds, params=None, jobs=1):
     """Run one planner over several seeds; returns records in seed order.
 
-    ``jobs`` > 1 runs them in worker processes, at most one per run.
+    The Task is resolved once. ``jobs`` > 1 runs the seeds in worker
+    processes, at most one per run, each sent its own pickled copy of it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     task = resolve_task(scene)
     base = params if params is not None else default_params(task)
-    work = [(scene if not hasattr(scene, "manifolds") else task, planner, replace(base, seed=s))
-            for s in seeds]
+    work = [(task, planner, replace(base, seed=s)) for s in seeds]
     workers = min(jobs, len(work))
-    if workers > 1 and not hasattr(scene, "manifolds"):
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, work))
     return [_run_one(w) for w in work]
@@ -146,7 +145,7 @@ def sweep(scene, planner, param_name, values, seeds, base_params=None, jobs=1):
         if param_name == "m":
             value = int(value)
         params = replace(base, **{param_name: value})
-        records = batch(scene, planner, seeds, params=params, jobs=jobs)
+        records = batch(task, planner, seeds, params=params, jobs=jobs)
         results.append({"value": value, "aggregate": aggregate(records), "records": records})
     return results
 
@@ -195,9 +194,14 @@ def read_path_csv(file_path):
     """Inverse of write_path_csv; returns a SolutionPath."""
     with open(file_path, newline="") as f:
         rows = list(csv.reader(f))
+    if not rows or rows[0][:1] != ["segment"]:
+        raise ValueError(f"path file {file_path} lacks its header row 'segment,q0,...'")
     header, body = rows[0], rows[1:]
     if not body:
         raise ValueError("path file has no vertices")
+    for k, r in enumerate(body, start=2):
+        if len(r) != len(header):
+            raise ValueError(f"path file {file_path}: row {k} has {len(r)} fields, its header {len(header)}")
     segs = [int(r[0]) for r in body]
     configs = np.array([[float(x) for x in r[1:]] for r in body])
     bounds = [i - 1 for i in range(1, len(segs)) if segs[i] > segs[i - 1]]
@@ -209,4 +213,7 @@ def validate_path_file(file_path, scene, overrides=None):
     task = resolve_task(scene)
     params = params_with_overrides(task, overrides)
     path = read_path_csv(file_path)
+    if path.configs.shape[1] != task.ambient_dim:
+        raise ValueError(f"path has {path.configs.shape[1]} coordinates per vertex, "
+                         f"scene {task.name!r} has {task.ambient_dim}")
     return validate_solution(task, path, params)

@@ -1,4 +1,5 @@
-"""Serial-chain forward kinematics and task constraint constructors.
+"""Serial-chain forward kinematics and the task constraints ``Pick``,
+``Handover`` and ``Orientation``, each a ``Manifold`` on one system.
 
 Chains are lists of revolute/prismatic joints given by an axis and a fixed
 origin offset. A MultiRobotSystem stacks several chains into one
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .manifolds import FunctionManifold
+from .manifolds import Manifold
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -300,56 +301,55 @@ def _tool_jacobian(sys, c, cols, q):
     return _in_columns(sys, cols, block)
 
 
-def pick_constraint(sys, chain, x_g, name=None):
+class Pick(Manifold):
     """Constraint pinning the end effector of one chain to a world point x_g."""
-    x_g = np.asarray(x_g, dtype=float)
-    if name is None:
-        name = f"pick[{chain}]"
-    c, cols = _chain_columns(sys, chain)
 
-    def h(q):
-        return x_g - c.fk_frames(q[cols])[0][-1]
+    def __init__(self, sys, chain, x_g, name=None):
+        super().__init__(sys.dof, 3, f"pick[{chain}]" if name is None else name)
+        self.sys, self.x_g = sys, np.asarray(x_g, dtype=float)
+        self.c, self.cols = _chain_columns(sys, chain)
 
-    def jac(q):
-        return -_tool_jacobian(sys, c, cols, q)
+    def h(self, q):
+        return self.x_g - self.c.fk_frames(q[self.cols])[0][-1]
 
-    return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
+    def jacobian(self, q):
+        return -_tool_jacobian(self.sys, self.c, self.cols, q)
 
 
-def handover_constraint(sys, chain1, chain2, name=None):
+class Handover(Manifold):
     """Constraint that two end effectors coincide."""
-    if name is None:
-        name = f"handover[{chain1},{chain2}]"
-    c1, cols1 = _chain_columns(sys, chain1)
-    c2, cols2 = _chain_columns(sys, chain2)
 
-    def h(q):
-        return c1.fk_frames(q[cols1])[0][-1] - c2.fk_frames(q[cols2])[0][-1]
+    def __init__(self, sys, chain1, chain2, name=None):
+        super().__init__(sys.dof, 3, f"handover[{chain1},{chain2}]" if name is None else name)
+        self.sys = sys
+        self.c1, self.cols1 = _chain_columns(sys, chain1)
+        self.c2, self.cols2 = _chain_columns(sys, chain2)
 
-    def jac(q):
-        return _tool_jacobian(sys, c1, cols1, q) - _tool_jacobian(sys, c2, cols2, q)
+    def h(self, q):
+        return self.c1.fk_frames(q[self.cols1])[0][-1] - self.c2.fk_frames(q[self.cols2])[0][-1]
 
-    return FunctionManifold(sys.dof, 3, h, jac_fn=jac, name=name)
+    def jacobian(self, q):
+        return _tool_jacobian(self.sys, self.c1, self.cols1, q) - _tool_jacobian(self.sys, self.c2, self.cols2, q)
 
 
-def orientation_constraint(sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
+class Orientation(Manifold):
     """Alignment constraint: tool z-axis dotted with e_z equals 1 (residual in [-2, 0])."""
-    e_z = np.asarray(e_z, dtype=float)
-    if name is None:
-        name = f"upright[{chain}]"
-    c, cols = _chain_columns(sys, chain)
 
-    def h(q):
-        _, R, _ = c.fk_frames(q[cols])
-        return np.array([R[:, 2] @ e_z - 1.0])
+    def __init__(self, sys, chain, e_z=(0.0, 0.0, 1.0), name=None):
+        super().__init__(sys.dof, 1, f"upright[{chain}]" if name is None else name)
+        self.sys, self.e_z = sys, np.asarray(e_z, dtype=float)
+        self.c, self.cols = _chain_columns(sys, chain)
 
-    def jac(q):
+    def h(self, q):
+        _, R, _ = self.c.fk_frames(q[self.cols])
+        return np.array([R[:, 2] @ self.e_z - 1.0])
+
+    def jacobian(self, q):
         # d(R e_z')/dq_j = w_j x (R e_z') for a revolute joint, and
         # (w_j x a) . e_z = w_j . (a x e_z); a prismatic joint does not rotate
-        _, R, axes = c.fk_frames(q[cols])
-        row = axes @ _cross(R[:, 2], e_z)
+        c = self.c
+        _, R, axes = c.fk_frames(q[self.cols])
+        row = axes @ _cross(R[:, 2], self.e_z)
         if not c._all_revolute:
             row = np.where(c._revolute, row, 0.0)
-        return _in_columns(sys, cols, row[None])
-
-    return FunctionManifold(sys.dof, 1, h, jac_fn=jac, name=name)
+        return _in_columns(self.sys, self.cols, row[None])

@@ -230,35 +230,6 @@ class AffinePlane(Manifold):
         return self.A
 
 
-class FunctionManifold(Manifold):
-    """Manifold defined by a user-supplied constraint function and its Jacobian.
-
-    A result that already is a float64 array of the right rank is returned
-    as it is; anything else is converted. A Jacobian that is not (l, k)
-    raises ValueError.
-    """
-
-    def __init__(self, ambient_dim, codim, h_fn, jac_fn, name="function_manifold"):
-        super().__init__(ambient_dim, codim, name)
-        self._h_fn = h_fn
-        self._jac_fn = jac_fn
-
-    def h(self, q):
-        out = self._h_fn(q)
-        if type(out) is np.ndarray and out.dtype == np.float64 and out.ndim == 1:
-            return out
-        return np.atleast_1d(np.asarray(out, dtype=float))
-
-    def jacobian(self, q):
-        J = self._jac_fn(q)
-        if type(J) is not np.ndarray or J.dtype != np.float64:
-            J = np.asarray(J, dtype=float)
-        if J.shape != (self.codim, self.ambient_dim):
-            raise ValueError(f"constraint {self.name} returned a Jacobian of shape {J.shape}, "
-                             f"expected ({self.codim}, {self.ambient_dim})")
-        return J
-
-
 class Intersection(Manifold):
     """Stack of two constraints: h = [h1; h2], the manifold M1 ∩ M2.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import Intersection, evaluate, norm, project
-from .steering import ZERO_DIRECTION_TOL, SteerParams, psm_steer, steer_point
+from .steering import ZERO_DIRECTION_TOL, psm_steer, steer_point
 
 IK_RETRIES = 100
 IK_GOAL_BIAS = 0.1
@@ -60,6 +60,8 @@ class PlannerParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
         if self.r <= 0:
             raise ValueError("r must be positive")
         if self.eps <= 0:
@@ -70,9 +72,6 @@ class PlannerParams:
             raise ValueError("m must be >= 1")
         if self.gamma_rrt is not None and self.gamma_rrt <= 0:
             raise ValueError("gamma_rrt must be positive")
-
-    def steer(self):
-        return SteerParams(self.alpha, self.beta, self.r)
 
 
 class PlanningFailure(Exception):
@@ -107,23 +106,20 @@ def polyline_length(configs):
 
 
 class Tree:
-    """Search tree with parent links, costs-to-root, and synthetic roots.
+    """Search forest with parent links and costs-to-root.
 
-    Synthetic roots bind the intersection seeds of a new subtree together;
-    they are excluded from nearest/near queries and never gain a parent.
+    A node with parent -1 is a root: the start, or an intersection seed of a
+    new subtree, which keeps the cost it had in the tree before.
     """
 
     def __init__(self, dim):
         self.dim = dim
         self._configs = np.empty((0, dim))
         # the same configurations column-major, (dim, capacity), so a query's
-        # distance pass runs over contiguous rows; a synthetic root's column is
-        # +inf, which keeps it out of every nearest/near answer
+        # distance pass runs over contiguous rows
         self._cols = np.empty((dim, 0))
         self.parent = []
         self.cost = []
-        self.synthetic = []
-        self._synthetic_ids = []  # kept by add() so queries need not scan ``synthetic``
         self.children = []
         self.phase = []  # manifold index a node lives on
         self.on = []     # tuple of manifold indices the node satisfies
@@ -138,7 +134,7 @@ class Tree:
     def config(self, i):
         return self._configs[i]
 
-    def add(self, config, parent, cost, synthetic=False, phase=0, on=()):
+    def add(self, config, parent, cost, phase=0, on=()):
         i = len(self.parent)
         if i == self._configs.shape[0]:
             capacity = max(64, 2 * i)
@@ -148,13 +144,10 @@ class Tree:
             cols = np.empty((self.dim, capacity))
             cols[:, :i] = self._cols[:, :i]
             self._cols = cols
-        self._configs[i] = 0.0 if config is None else config
-        self._cols[:, i] = np.inf if synthetic else self._configs[i]
+        self._configs[i] = config
+        self._cols[:, i] = self._configs[i]
         self.parent.append(parent)
         self.cost.append(cost)
-        self.synthetic.append(synthetic)
-        if synthetic:
-            self._synthetic_ids.append(i)
         self.children.append([])
         self.phase.append(phase)
         self.on.append(tuple(on))
@@ -162,11 +155,8 @@ class Tree:
             self.children[parent].append(i)
         return i
 
-    def real_count(self):
-        return len(self.parent) - len(self._synthetic_ids)
-
     def _distances(self, q):
-        """Distance from q to every node, +inf for synthetic roots.
+        """Distance from q to every node.
 
         The squares are summed in coordinate order, ((d0^2 + d1^2) + d2^2) + ...,
         an order that does not depend on the CPU's SIMD width.
@@ -179,8 +169,8 @@ class Tree:
         return np.sqrt(dist, out=dist)
 
     def nearest(self, q):
-        if self.real_count() == 0:
-            raise ValueError("nearest query on a tree without real nodes")
+        if not self.parent:
+            raise ValueError("nearest query on an empty tree")
         return int(self._distances(q).argmin())
 
     def near(self, q, radius):
@@ -201,11 +191,10 @@ class Tree:
             self.cost[i] += delta
             stack.extend(self.children[i])
 
-    def path_to_subroot(self, node):
-        """Node ids from this node up to (inclusive) the first node whose
-        parent is a root (synthetic or absent)."""
+    def path_to_root(self, node):
+        """Node ids from this node up to (inclusive) its root."""
         chain = [node]
-        while self.parent[chain[-1]] >= 0 and not self.synthetic[self.parent[chain[-1]]]:
+        while self.parent[chain[-1]] >= 0:
             chain.append(self.parent[chain[-1]])
         return chain
 
@@ -248,7 +237,7 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
     q_new = np.asarray(q_new, dtype=float)
     if not segment_free(near_id, q_new):
         return None
-    radius = rewiring_radius(gamma, tree.real_count(), tree.dim, params.alpha)
+    radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = tree.near(q_new, radius)
     if edge_ok is not None:
         neighbors = [i for i in neighbors if edge_ok(i, on)]
@@ -330,9 +319,7 @@ class _Run:
 
 def _psm_steering(run):
     """Steer policy of the PSM* planners: ``psm_steer`` with the run's RNG."""
-    steer_params, eps, iters = run.params.steer(), run.params.eps, run.params.max_project_iters
-    return lambda q_near, q_rand, m_i, m_next: psm_steer(steer_params, q_near, q_rand, m_i, m_next,
-                                                         run.rng, eps, iters)
+    return lambda q_near, q_rand, m_i, m_next: psm_steer(run.params, q_near, q_rand, m_i, m_next, run.rng)
 
 
 def _segment_free_in(task, tree, fs):
@@ -386,17 +373,16 @@ def _psm_run(task, params, greedy, debug=None):
         if i < n - 1:
             seeds = [min(V_goal, key=lambda g: (tree.cost[g], g))] if greedy else V_goal
             next_tree, src = Tree(task.ambient_dim), {}
-            synth = next_tree.add(None, parent=-1, cost=0.0, synthetic=True)
             for g in seeds:
-                src[next_tree.add(tree.config(g), parent=synth, cost=tree.cost[g], phase=i + 1)] = g
+                src[next_tree.add(tree.config(g), parent=-1, cost=tree.cost[g], phase=i + 1)] = g
             sources.append(src)
             tree = next_tree
 
-    # walk back from the cheapest goal node, tree by tree, through each subtree's seed
+    # walk back from the cheapest goal node, tree by tree, through each subtree's seed (a root)
     nid = min(V_goal, key=lambda g: (tree.cost[g], g))
     segments = []
     for t in reversed(range(n)):
-        chain = trees[t].path_to_subroot(nid)
+        chain = trees[t].path_to_root(nid)
         segments.append([trees[t].config(j) for j in reversed(chain)])
         if t > 0:
             nid = sources[t - 1][chain[-1]]
@@ -442,7 +428,7 @@ def _single_tree_path(tree, goal, n):
     p/p+1 crossing node labelled p + 1, so along a path the phase can rise
     at that crossing, fall and rise again, while the edges stay on p.
     """
-    chain = tree.path_to_subroot(goal)[::-1]
+    chain = tree.path_to_root(goal)[::-1]
     edges = [_edge_manifold(tree.on[a], tree.on[b], n) for a, b in zip(chain, chain[1:])]
     cuts = [k for k in range(1, len(edges)) if edges[k] > edges[k - 1]]
     return _stitch([[tree.config(v) for v in chain[a:b + 1]]
@@ -531,7 +517,7 @@ def rrt_star_ik(task, params, debug=None):
         if not links:
             raise PlanningFailure(phase=i, message=f"no path to the IK goal in phase {i}")
         # rewiring lowers node costs after they are linked, so cost the links now; first of equal costs
-        chain = tree.path_to_subroot(min(links, key=lambda link: tree.cost[link[1]] + link[0])[1])
+        chain = tree.path_to_root(min(links, key=lambda link: tree.cost[link[1]] + link[0])[1])
         segments.append([tree.config(j) for j in reversed(chain)] + [goal])
         fs = task.advance_free_space(fs, i, goal)
         q_seg_start = goal
@@ -546,7 +532,7 @@ PLANNERS = {
 }
 
 
-def validate_solution(task, path, params, step_slack=None):
+def validate_solution(task, path, params):
     """Independent check of a solution path against the task definition.
 
     Verifies per-segment constraint residuals, boundary continuity, bounded
@@ -558,9 +544,7 @@ def validate_solution(task, path, params, step_slack=None):
     eps = params.eps * (1.0 + 1e-9) + 1e-12
     # steering steps are alpha long before projection; the projection displacement
     # is not bounded by r (r gates a task-space residual), so allow generous slack
-    if step_slack is None:
-        step_slack = 0.5 * (params.alpha + params.r)
-    max_step = params.alpha + params.r + step_slack
+    max_step = params.alpha + params.r + 0.5 * (params.alpha + params.r)
     segs = path.segments()
     if len(segs) != task.n_phases:
         violations.append(f"expected {task.n_phases} segments, got {len(segs)}")

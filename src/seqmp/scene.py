@@ -344,12 +344,12 @@ def _manifold_from_dict(d, system):
                 raise ValueError(f"pick manifold {d.get('name', t)!r}: target must be a workspace point "
                                  f"of 3 coordinates, got {p['target']!r}")
         if t == "pick":
-            return kin.pick_constraint(system, p["chain"], p["target"], name=d.get("name", "pick"))
+            return kin.Pick(system, p["chain"], p["target"], name=d.get("name", "pick"))
         if t == "handover":
-            return kin.handover_constraint(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
+            return kin.Handover(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
         if t == "orientation":
-            return kin.orientation_constraint(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)),
-                                              name=d.get("name", "orientation"))
+            return kin.Orientation(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)),
+                                   name=d.get("name", "orientation"))
     except KeyError as e:
         raise ValueError(f"{t} manifold {d.get('name', t)!r} lacks params key {e.args[0]!r}") from None
     raise ValueError(f"unknown manifold type {t!r}")

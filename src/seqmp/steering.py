@@ -8,29 +8,12 @@ manifold or onto the intersection, with a randomized closeness threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .manifolds import Intersection, evaluate, norm, project, tangent_component, tangent_nullspace
 
 ZERO_DIRECTION_TOL = 1e-12
 KKT_RCOND = 1e-9
-
-
-@dataclass(frozen=True)
-class SteerParams:
-    alpha: float = 1.0  # max step size
-    beta: float = 0.1   # probability of constraint-directed steering
-    r: float = 1.5      # projection distance threshold scale
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
 
 
 def steer_point(q_near, q_rand, m):
@@ -63,13 +46,15 @@ def steer_constraint(q_near, m_i, m_next):
     return B @ z
 
 
-def psm_steer(params, q_near, q_rand, m_i, m_next, rng, eps, max_iters=200, info=None):
-    """One steering attempt from a tree node on m_i.
+def psm_steer(params, q_near, q_rand, m_i, m_next, rng, info=None):
+    """One steering attempt from a tree node on m_i, with the ``alpha``,
+    ``beta``, ``r``, ``eps`` and ``max_project_iters`` of ``params`` (a
+    ``PlannerParams``).
 
     With probability beta uses constraint-directed steering, otherwise steers
     toward q_rand. Takes a step of length exactly alpha, then projects onto
     the intersection m_i ∩ m_next when the residual of m_next falls below a
-    Uniform(0, r) draw, else back onto m_i. Returns the projected
+    Uniform(0, r) draw, else back onto m_i, to eps. Returns the projected
     configuration or None (sample discarded). Both RNG draws are always
     consumed so that seed streams stay reproducible.
     """
@@ -92,5 +77,5 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, eps, max_iters=200, info
         info["projected_intersection"] = to_intersection
         info["q_before_projection"] = q_new.copy()
     if to_intersection:
-        return project(q_new, Intersection(m_i, m_next), eps, max_iters)
-    return project(q_new, m_i, eps, max_iters)
+        return project(q_new, Intersection(m_i, m_next), params.eps, params.max_project_iters)
+    return project(q_new, m_i, params.eps, params.max_project_iters)

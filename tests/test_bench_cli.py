@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -18,6 +19,27 @@ from seqmp.planner import PLANNERS, PlannerParams
 from seqmp.scene import available_scenes
 
 FAST = PlannerParams(m=300, seed=0)
+
+
+def _in_process_pool(started):
+    """A stand-in for ProcessPoolExecutor that records its pool size and runs
+    each item in this process after a pickle round trip, as a worker process
+    receives it; no process is started."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, (pickle.loads(pickle.dumps(item)) for item in items))
+
+    return InProcessPool
 
 
 class TestAggregate:
@@ -70,24 +92,22 @@ class TestRunAndBatch:
     @pytest.mark.parametrize("jobs, runs, workers", [(64, 2, 2), (2, 3, 2), (10**6, 3, 3), (4, 1, None)])
     def test_batch_starts_at_most_one_worker_per_run(self, monkeypatch, jobs, runs, workers):
         started = []
-
-        class InProcessPool:  # records the pool size and runs in this process; no process is started
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", _in_process_pool(started))
         recs = bench.batch("point3d_free", "psm", list(range(runs)), params=FAST, jobs=jobs)
         assert [r.seed for r in recs] == list(range(runs))
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("scene", ["point3d_free", "transport_a_mini"])
+    def test_batch_of_a_task_object_starts_a_pool(self, monkeypatch, scene):
+        # a Task, robot Tasks included, is pickled to the workers whole
+        task = bench.resolve_task(scene)
+        params = bench.params_with_overrides(task, {"m": 100})
+        serial = bench.batch(task, "psm", [0, 1], params=params)
+        started = []
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", _in_process_pool(started))
+        pooled = bench.batch(task, "psm", [0, 1], params=params, jobs=2)
+        assert started == [2]
+        assert [(r.seed, r.success, r.cost) for r in pooled] == [(r.seed, r.success, r.cost) for r in serial]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_batch_rejects_jobs_below_one(self, jobs):
@@ -208,6 +228,29 @@ class TestCli:
         rc = main(["validate", "--path", str(out / "bad.csv"), "--scene", "point3d_free",
                    "--params", params])
         assert rc == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "lacks its header row"),
+        ("0,3.5,3.5,4.45\n", "lacks its header row"),
+        ("segment,q0,q1,q2\n0,3.5,3.5,4.45\n0,3.5\n", "row 3 has 2 fields, its header 4"),
+        ("segment,q0,q1\n0,3.5,3.5\n1,0.0,0.0\n", "path has 2 coordinates per vertex, scene 'point3d_free' has 3"),
+    ])
+    def test_validate_malformed_path_file_exits_2(self, tmp_path, capsys, text, message):
+        f = tmp_path / "path.csv"
+        f.write_text(text)
+        rc = main(["validate", "--path", str(f), "--scene", "point3d_free"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    def test_params_that_are_not_an_object_exit_2(self, tmp_path, capsys, command):
+        f = tmp_path / "params.json"
+        f.write_text("5")
+        args = ["--planner", "psm"] if command == "plan" else ["--path", str(tmp_path / "path.csv")]
+        rc = main([command, "--scene", "point3d_free", "--params", str(f)] + args)
+        assert rc == 2
+        assert "planner parameter overrides must be a JSON object, got 5" in capsys.readouterr().err
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         rc = main(["sweep", "--scene", "point3d_free", "--planner", "psm", "--param", "m",
@@ -373,6 +416,15 @@ def test_plan_with_bad_params_exits_2(override, tmp_path, capsys):
     rc = main(["plan", "--scene", "point3d_free", "--planner", "psm", "--params", str(f)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("planner", sorted(PLANNERS))
+def test_beta_outside_unit_interval_exits_2_for_every_planner(planner, tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"beta": 5}))
+    rc = main(["plan", "--scene", "point3d_free", "--planner", planner, "--params", str(f)])
+    assert rc == 2
+    assert "beta must lie in [0, 1]" in capsys.readouterr().err
 
 
 @functools.lru_cache(maxsize=None)

@@ -87,11 +87,11 @@ class TestForwardKinematics:
             sys.chain_config(np.zeros(2), 3)
         for chain in (1, -1):
             with pytest.raises(IndexError):
-                kin.pick_constraint(sys, chain, (0.0, 0.0, 0.0))
+                kin.Pick(sys, chain, (0.0, 0.0, 0.0))
             with pytest.raises(IndexError):
-                kin.orientation_constraint(sys, chain)
+                kin.Orientation(sys, chain)
             with pytest.raises(IndexError):
-                kin.handover_constraint(sys, 0, chain)
+                kin.Handover(sys, 0, chain)
 
     def test_prismatic_joint(self):
         chain = kin.SerialChain(
@@ -118,13 +118,13 @@ class TestPickConstraint:
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
         q = np.array([0.3, -0.4])
         x_g = kin.fk_position(sys, 0, (0, 0, 0), q)
-        m = kin.pick_constraint(sys, 0, x_g)
+        m = kin.Pick(sys, 0, x_g)
         assert evaluate(m, q) == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_definitional_residual(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
         x_g = np.array([1.0, 0.5, 0.0])
-        m = kin.pick_constraint(sys, 0, x_g)
+        m = kin.Pick(sys, 0, x_g)
         for _ in range(10):
             q = RNG.uniform(-2, 2, size=2)
             expected = x_g - kin.fk_position(sys, 0, (0, 0, 0), q)
@@ -133,7 +133,7 @@ class TestPickConstraint:
     def test_projection_reaches_target(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
         x_g = np.array([1.2, 0.7, 0.0])
-        m = kin.pick_constraint(sys, 0, x_g)
+        m = kin.Pick(sys, 0, x_g)
         hits = 0
         for _ in range(10):
             q = project(RNG.uniform(-2, 2, size=2), m, eps=1e-6)
@@ -154,20 +154,20 @@ class TestHandoverConstraint:
         sys = self._mirrored()
         # both arms folded onto the x axis, tips meeting at the origin
         q = np.array([0.0, 0.0, np.pi, 0.0])
-        m = kin.handover_constraint(sys, 0, 1)
+        m = kin.Handover(sys, 0, 1)
         assert evaluate(m, q) == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_antisymmetric_under_role_swap(self):
         sys = self._mirrored()
-        m12 = kin.handover_constraint(sys, 0, 1)
-        m21 = kin.handover_constraint(sys, 1, 0)
+        m12 = kin.Handover(sys, 0, 1)
+        m21 = kin.Handover(sys, 1, 0)
         for _ in range(10):
             q = RNG.uniform(-2, 2, size=4)
             assert evaluate(m12, q) == pytest.approx(-evaluate(m21, q), abs=1e-12)
 
     def test_projection_coincidence(self):
         sys = self._mirrored()
-        m = kin.handover_constraint(sys, 0, 1)
+        m = kin.Handover(sys, 0, 1)
         hits = 0
         for _ in range(10):
             q = project(RNG.uniform(-2, 2, size=4), m, eps=1e-6)
@@ -189,21 +189,21 @@ class TestOrientationConstraint:
         return kin.MultiRobotSystem(chains=(chain,))
 
     def test_identity_orientation(self):
-        m = kin.orientation_constraint(self._tilting(), 0)
+        m = kin.Orientation(self._tilting(), 0)
         assert evaluate(m, np.zeros(1)) == pytest.approx([0.0], abs=1e-12)
 
     def test_quarter_turn_residual(self):
-        m = kin.orientation_constraint(self._tilting(), 0)
+        m = kin.Orientation(self._tilting(), 0)
         assert evaluate(m, np.array([np.pi / 2])) == pytest.approx([-1.0], abs=1e-12)
 
     def test_residual_is_cos_theta_minus_one(self):
-        m = kin.orientation_constraint(self._tilting(), 0)
+        m = kin.Orientation(self._tilting(), 0)
         for theta in RNG.uniform(-np.pi, np.pi, size=20):
             assert evaluate(m, np.array([theta])) == pytest.approx([np.cos(theta) - 1.0], abs=1e-12)
 
     def test_residual_range(self):
         sys = _system("transport_a_mini")
-        m = kin.orientation_constraint(sys, 0)
+        m = kin.Orientation(sys, 0)
         for _ in range(50):
             q = RNG.uniform(-2.2, 2.2, size=sys.dof)
             r = evaluate(m, q)[0]
@@ -226,10 +226,10 @@ def test_fk_smoothness_smoke():
 def _kinematic_constraints(sys):
     """Every pick, orientation and handover constraint a system supports."""
     n = len(sys.chains)
-    out = [kin.pick_constraint(sys, c, (0.3, -0.2, 0.4)) for c in range(n)]
-    out += [kin.orientation_constraint(sys, c) for c in range(n)]
-    out += [kin.orientation_constraint(sys, c, e_z=(0.6, 0.0, 0.8)) for c in range(n)]
-    out += [kin.handover_constraint(sys, a, b) for a in range(n) for b in range(n) if a != b]
+    out = [kin.Pick(sys, c, (0.3, -0.2, 0.4)) for c in range(n)]
+    out += [kin.Orientation(sys, c) for c in range(n)]
+    out += [kin.Orientation(sys, c, e_z=(0.6, 0.0, 0.8)) for c in range(n)]
+    out += [kin.Handover(sys, a, b) for a in range(n) for b in range(n) if a != b]
     return out
 
 
@@ -561,14 +561,14 @@ def _constraint_cases(draw):
     coord = st.floats(-1.0, 1.0)
     if kind == "pick":
         args = (draw(st.integers(0, n - 1)), np.array(draw(st.tuples(coord, coord, coord))))
-        m = kin.pick_constraint(sys, *args)
+        m = kin.Pick(sys, *args)
     elif kind == "handover":
         args = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))  # one chain may meet itself
-        m = kin.handover_constraint(sys, *args)
+        m = kin.Handover(sys, *args)
     else:
         e_z = draw(st.sampled_from(((0.0, 0.0, 1.0), (0.6, 0.0, 0.8))) | st.tuples(coord, coord, coord))
         args = (draw(st.integers(0, n - 1)), np.asarray(e_z, dtype=float))
-        m = kin.orientation_constraint(sys, *args)
+        m = kin.Orientation(sys, *args)
     return sys, kind, args, m
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from seqmp.manifolds import (
     AffinePlane,
     Cylinder,
-    FunctionManifold,
     Intersection,
     Manifold,
     Paraboloid,
@@ -332,25 +331,21 @@ class TestAnalyticJacobianRequired:
         with pytest.raises(NotImplementedError):
             _Returns(np.zeros(1), 1).jacobian(np.zeros(2))
 
-    def test_function_manifold_needs_a_jacobian(self):
-        with pytest.raises(TypeError):
-            FunctionManifold(2, 1, lambda q: q[:1])
 
-    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((2, 2)), np.zeros((1, 3)), [[1.0, 2.0, 3.0]], 0.0])
-    def test_function_manifold_rejects_a_jacobian_of_the_wrong_shape(self, bad):
-        m = FunctionManifold(2, 1, lambda q: q[:1], lambda q: bad, name="bent")
-        with pytest.raises(ValueError, match=r"bent returned a Jacobian of shape .*expected \(1, 2\)"):
-            m.jacobian(np.zeros(2))
+# --- bit identity with the forms the kinematic constraints and Intersection had before ---
 
+_KINEMATIC = (kin.Pick, kin.Handover, kin.Orientation)
 
-# --- bit identity with the forms FunctionManifold and Intersection had before ---
 
 def _old_function_h(m, q):
-    return np.atleast_1d(np.asarray(m._h_fn(q), dtype=float))
+    """The value through the conversion of the constraint wrapper the kinematic constraints had."""
+    return np.atleast_1d(np.asarray(type(m).h(m, q), dtype=float))
 
 
 def _old_function_jacobian(m, q):
-    return np.asarray(m._jac_fn(q), dtype=float)
+    J = np.asarray(type(m).jacobian(m, q), dtype=float)
+    assert J.shape == (m.codim, m.ambient_dim)  # the wrapper raised on any other shape
+    return J
 
 
 def _old_intersection_h(m, q):
@@ -367,7 +362,7 @@ def _same(got, want):
 
 def _constraint_layer():
     """Every manifold the planners build: the point-scene ones, the kinematic
-    constraints of both transport scenes (FunctionManifolds), and each pair of
+    constraints of both transport scenes (Pick, Handover, Orientation), and each pair of
     consecutive ones intersected, once nested."""
     point, robot = [], []
     for name in ("point3d_free", "point3d_obstacles", "plane_cylinder_point"):
@@ -375,7 +370,7 @@ def _constraint_layer():
     for name in ("transport_a_mini", "transport_b_mini"):
         ms = build_benchmark_scene(name).manifolds
         sys = build_benchmark_scene(name).system
-        robot.append(list(ms) + [kin.orientation_constraint(sys, 0, e_z=(0.6, 0.0, 0.8))])
+        robot.append(list(ms) + [kin.Orientation(sys, 0, e_z=(0.6, 0.0, 0.8))])
     out = []
     for ms in [point] + robot:
         pairs = [Intersection(a, b) for a, b in zip(ms, ms[1:])]
@@ -393,26 +388,9 @@ def test_constraint_layer_bit_identical_to_stacked_forms(index, data):
     q = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m.ambient_dim, max_size=m.ambient_dim)))
     if isinstance(m, Intersection):
         old_h, old_jacobian = _old_intersection_h, _old_intersection_jacobian
-    elif isinstance(m, FunctionManifold):
+    elif isinstance(m, _KINEMATIC):
         old_h, old_jacobian = _old_function_h, _old_function_jacobian
     else:
         old_h, old_jacobian = type(m).h, type(m).jacobian
     assert _same(m.h(q), old_h(m, q)), m.name
     assert _same(m.jacobian(q), old_jacobian(m, q)), m.name
-
-
-@settings(max_examples=100, deadline=None)
-@given(out=st.sampled_from([0.5, [0.5], (0.5, -1.0), np.float32(0.5), np.arange(2), np.arange(2.0),
-                            np.arange(2, dtype=np.float32), np.zeros((1, 2))]),
-       jac=st.sampled_from([[[1.0, 2.0]], np.ones((1, 2)), np.ones((1, 2), dtype=np.int64),
-                            np.ones((1, 2), dtype=np.float32), np.asfortranarray(np.ones((1, 2)))]))
-def test_function_manifold_converts_as_before(out, jac):
-    # a float64 array of the right rank is returned as it is, anything else converted as before
-    m = FunctionManifold(2, 1, lambda q: out, lambda q: jac)
-    q = np.zeros(2)
-    assert _same(m.h(q), _old_function_h(m, q))
-    assert _same(m.jacobian(q), _old_function_jacobian(m, q))
-    if type(out) is np.ndarray and out.dtype == np.float64 and out.ndim == 1:
-        assert m.h(q) is out
-    if type(jac) is np.ndarray and jac.dtype == np.float64:
-        assert m.jacobian(q) is jac

@@ -1,5 +1,6 @@
 """Tree machinery, the four planners, and path extraction/validation."""
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -95,29 +96,30 @@ class TestTreeQueries:
             radius = RNG.uniform(0.5, 4.0)
             assert t.near(q, radius) == sorted(np.nonzero(dists <= radius)[0])
 
-    def test_synthetic_roots_excluded(self):
+    def test_seed_roots_answer_queries(self):
+        # two seeds of a subtree are roots that keep their costs; a child hangs from the second
         t = Tree(2)
-        t.add(None, parent=-1, cost=0.0, synthetic=True)
-        t.add(np.array([3.0, 3.0]), parent=0, cost=0.0)
-        assert t.nearest(np.array([0.0, 0.0])) == 1
-        assert t.near(np.array([0.0, 0.0]), 100.0) == [1]
+        t.add(np.array([3.0, 3.0]), parent=-1, cost=4.0)
+        t.add(np.array([-1.0, 0.0]), parent=-1, cost=2.5)
+        t.add(np.array([0.5, 0.0]), parent=1, cost=4.0)
+        assert len(t) == 3
+        assert t.nearest(np.array([0.0, 0.0])) == 2
+        assert t.near(np.array([0.0, 0.0]), 100.0) == [0, 1, 2]
+        assert t.path_to_root(2) == [2, 1] and t.path_to_root(0) == [0]
 
-    def test_several_synthetic_roots_excluded(self):
+    def test_several_roots_match_linear_scan(self):
         t = Tree(2)
         pts = RNG.uniform(-3, 3, size=(40, 2))
-        synthetic = set()
         for i, p in enumerate(pts):
-            is_synth = i % 7 == 0
-            t.add(None if is_synth else p, parent=-1, cost=0.0, synthetic=is_synth)
-            if is_synth:
-                synthetic.add(i)
-        assert t.real_count() == len(pts) - len(synthetic)
-        real = [i for i in range(len(pts)) if i not in synthetic]
+            t.add(p, parent=-1 if i % 7 == 0 else i - 1, cost=0.0)  # a root, then a chain of six
+        assert len(t) == len(pts)
+        for i in range(len(pts)):
+            assert t.path_to_root(i)[-1] == i - i % 7
         for _ in range(20):
             q = RNG.uniform(-3, 3, 2)
-            dists = np.linalg.norm(pts[real] - q, axis=1)
-            assert t.nearest(q) == real[int(np.argmin(dists))]
-            assert t.near(q, 2.0) == [real[j] for j in np.nonzero(dists <= 2.0)[0]]
+            dists = np.linalg.norm(pts - q, axis=1)
+            assert t.nearest(q) == int(np.argmin(dists))
+            assert t.near(q, 2.0) == np.nonzero(dists <= 2.0)[0].tolist()
 
     def test_empty_tree_raises(self):
         with pytest.raises(ValueError):
@@ -141,25 +143,25 @@ def test_tree_queries_match_plain_python_oracle(dim, data):
     point = st.lists(coord, min_size=dim, max_size=dim)
     pool = data.draw(st.lists(point, min_size=1, max_size=12))
     n = data.draw(st.integers(1, 140) | st.sampled_from([64, 65, 128, 129]))
+    # a forest: each node is a root (a subtree seed) with probability 1/10, else hangs from an earlier node
     tree, nodes = Tree(dim), []
-    for _ in range(n):
-        synthetic = data.draw(st.integers(0, 9)) == 0
+    for k in range(n):
+        root = k == 0 or data.draw(st.integers(0, 9)) == 0
         config = data.draw(st.sampled_from(pool))
-        nodes.append(None if synthetic else config)
-        tree.add(None if synthetic and data.draw(st.booleans()) else np.array(config), parent=-1, cost=0.0,
-                 synthetic=synthetic)
+        nodes.append(config)
+        tree.add(np.array(config), parent=-1 if root else data.draw(st.integers(0, k - 1)), cost=0.0)
     q = data.draw(st.sampled_from(pool) | point)
-    want = [math.inf if x is None else _ordered_distance(x, q) for x in nodes]
-    assert tree._distances(np.array(q)).tolist() == want  # bit for bit; synthetic roots are +inf
-    real = [i for i, x in enumerate(nodes) if x is not None]
-    if not real:
-        with pytest.raises(ValueError):
-            tree.nearest(np.array(q))
-        return
-    assert tree.nearest(np.array(q)) == min(real, key=lambda i: (want[i], i))  # lowest id of exact ties
-    radius = data.draw(st.sampled_from([want[i] for i in real]) | st.floats(0.0, 5.0))
+    want = [_ordered_distance(x, q) for x in nodes]
+    assert tree._distances(np.array(q)).tolist() == want  # bit for bit
+    ids = range(n)
+    assert tree.nearest(np.array(q)) == min(ids, key=lambda i: (want[i], i))  # lowest id of exact ties
+    radius = data.draw(st.sampled_from(want) | st.floats(0.0, 5.0))
     got = tree.near(np.array(q), radius)
-    assert got == ([i for i in real if want[i] <= radius] if radius > 0 else [])
+    assert got == ([i for i in ids if want[i] <= radius] if radius > 0 else [])
+    leaf = data.draw(st.sampled_from(ids))
+    chain = tree.path_to_root(leaf)
+    assert chain[0] == leaf and tree.parent[chain[-1]] == -1
+    assert all(tree.parent[a] == b for a, b in zip(chain, chain[1:]))
 
 
 class TestRrtStarExtend:
@@ -321,7 +323,7 @@ def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
     q_new = np.asarray(q_new, dtype=float)
     if not segment_free(near_id, q_new):
         return None
-    radius = rewiring_radius(gamma, tree.real_count(), tree.dim, params.alpha)
+    radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = tree.near(q_new, radius)
     q_min = near_id
     c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
@@ -355,6 +357,27 @@ def test_row_norms_equal_scalar_norms_bit_for_bit(k, data):
     assert row_norms(d).tobytes() == want.tobytes()
 
 
+def _draw_forest_nodes(data, point, n):
+    """n (configuration, parent, root cost) triples: node 0 is a root, and each
+    later node hangs from an earlier one or, one time in five, is another root,
+    as a subtree seed is, with a cost of its own on a half grid."""
+    nodes = [(data.draw(point), -1, 0.0)]
+    for k in range(1, n):
+        root = data.draw(st.integers(0, 4)) == 0
+        nodes.append((data.draw(point), -1 if root else data.draw(st.integers(0, k - 1)),
+                      0.5 * data.draw(st.integers(0, 6))))
+    return nodes
+
+
+def _forest(nodes):
+    """The Tree of ``_draw_forest_nodes`` triples; a node with a parent costs its parent's cost plus the edge."""
+    tree = Tree(2)
+    for q, parent, root_cost in nodes:
+        cost = root_cost if parent < 0 else tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent)))
+        tree.add(q, parent=parent, cost=cost)
+    return tree
+
+
 class TestDelayedParentCheck:
     @settings(deadline=None)
     @given(data=st.data())
@@ -362,18 +385,14 @@ class TestDelayedParentCheck:
         # grid coordinates make equal costs through different neighbours likely
         point = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: 0.5 * np.array(p, dtype=float))
         n = data.draw(st.integers(1, 25))
-        tree = Tree(2)
-        tree.add(data.draw(point), parent=-1, cost=0.0)
-        for k in range(1, n):
-            q, parent = data.draw(point), data.draw(st.integers(0, k - 1))
-            tree.add(q, parent=parent, cost=tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent))))
+        tree = _forest(_draw_forest_nodes(data, point, n))
         near_id = data.draw(st.integers(0, n - 1))
         q_new = data.draw(point)
         free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         free[near_id] = True
         params = PlannerParams(alpha=2.0)
         gamma = 100.0
-        neighbors = tree.near(q_new, rewiring_radius(gamma, tree.real_count(), 2, params.alpha))
+        neighbors = tree.near(q_new, rewiring_radius(gamma, len(tree), 2, params.alpha))
         parent_checks = []
 
         def segment_free(i, q):
@@ -426,15 +445,8 @@ class TestDelayedParentCheck:
         # hang below other neighbours, whose costs fall when those are rewired
         point = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: 0.5 * np.array(p, dtype=float))
         n = data.draw(st.integers(1, 25))
-        nodes = [(data.draw(point), -1)] + [(data.draw(point), data.draw(st.integers(0, k - 1)))
-                                            for k in range(1, n)]
-
-        def build():
-            tree = Tree(2)
-            for q, parent in nodes:
-                cost = 0.0 if parent < 0 else tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent)))
-                tree.add(q, parent=parent, cost=cost)
-            return tree
+        nodes = _draw_forest_nodes(data, point, n)
+        build = functools.partial(_forest, nodes)
 
         near_id = data.draw(st.integers(0, n - 1))
         free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -512,11 +524,9 @@ class TestInvariants:
         for phase, tree in enumerate(debug["trees"]):
             m = task.manifolds[phase]
             for i in range(len(tree)):
-                if tree.synthetic[i]:
-                    continue
                 assert np.linalg.norm(evaluate(m, tree.config(i))) <= params.eps * (1 + 1e-9)
                 p = tree.parent[i]
-                if p >= 0 and not tree.synthetic[p]:
+                if p >= 0:
                     edge = np.linalg.norm(tree.config(i) - tree.config(p))
                     assert tree.cost[i] == pytest.approx(tree.cost[p] + edge, abs=1e-9)
 
@@ -525,18 +535,20 @@ class TestInvariants:
         from scipy.sparse import csr_matrix
 
         _, _, _, debug = self._run_debug()
-        tree = debug["trees"][0]
-        n = len(tree)
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            p = tree.parent[i]
-            if p >= 0 and not tree.synthetic[p]:
-                d = np.linalg.norm(tree.config(i) - tree.config(p))
+        for tree in debug["trees"]:
+            # a source node n reaches each root r by an edge of cost[r] + 1 (an edge of 0 would be
+            # no edge), so a node's distance from it, less 1, is its cheapest cost over the forest
+            n = len(tree)
+            rows, cols, vals = [], [], []
+            for i in range(n):
+                p = tree.parent[i]
+                d = tree.cost[i] + 1.0 if p < 0 else np.linalg.norm(tree.config(i) - tree.config(p))
+                p = n if p < 0 else p
                 rows += [i, p]
                 cols += [p, i]
                 vals += [d, d]
-        dist = csgraph.dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)), indices=0)
-        assert tree.cost == pytest.approx(dist, abs=1e-9)
+            dist = csgraph.dijkstra(csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)), indices=n)
+            assert tree.cost == pytest.approx(dist[:n] - 1.0, abs=1e-9)
 
     def test_goal_set_separation_and_membership(self):
         task, params, _, debug = self._run_debug()
@@ -553,6 +565,9 @@ class TestInvariants:
         _, _, _, debug = self._run_debug()
         trees, sources = debug["trees"], debug["sources"]
         for t in range(1, len(trees)):
+            # every root of a subtree is one of its seeds; rewiring may hang a seed below another node
+            roots = [i for i, p in enumerate(trees[t].parent) if p < 0]
+            assert roots and set(roots) <= set(sources[t - 1])
             for nid, src in sources[t - 1].items():
                 assert np.array_equal(trees[t].config(nid), trees[t - 1].config(src))
                 # seed cost preserved at creation; later rewiring may only lower it

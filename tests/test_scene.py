@@ -305,6 +305,26 @@ class TestBenchmarkScenes:
         for name in available_scenes():
             assert name in str(err.value)
 
+    @pytest.mark.parametrize("name", available_scenes())
+    def test_pickled_task_plans_the_same_path(self, name):
+        from seqmp import bench
+
+        task = build_benchmark_scene(name)
+        if task.system is not None:  # warm a chain's FK cache before the copy
+            evaluate(task.manifolds[0], task.start())
+        clone = pickle.loads(pickle.dumps(task))
+        if task.system is not None:
+            chains = clone.system.chains
+            assert all(len(c._fk_cache) == 0 for c in chains)
+            # the constraints act on the system's own chain objects, as in the task pickled
+            used = [getattr(m, key) for m in clone.manifolds for key in ("c", "c1", "c2") if hasattr(m, key)]
+            assert used and all(any(c is chain for chain in chains) for c in used)
+            assert clone.manifolds[0].c is chains[0]
+        params = bench.params_with_overrides(task, {"m": 300} if task.profile == "robot" else None, seed=0)
+        paths = [bench.run(t, "psm", params)[1] for t in (task, clone)]
+        assert paths[0] is not None
+        assert paths[1].configs.tobytes() == paths[0].configs.tobytes()
+
 
 class TestSceneJson:
     @pytest.mark.parametrize("name", ["point3d_obstacles", "plane_cylinder_point",

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from seqmp.manifolds import AffinePlane, Cylinder, Paraboloid, evaluate, project, tangent_nullspace
-from seqmp.steering import SteerParams, psm_steer, steer_constraint, steer_point
+from seqmp.planner import PlannerParams
+from seqmp.steering import psm_steer, steer_constraint, steer_point
 
 RNG = np.random.default_rng(99)
 
@@ -13,12 +14,17 @@ PLANE_X1 = AffinePlane([[1.0, 0.0, 0.0]], [1.0])
 
 class TestSteerParams:
     def test_ranges(self):
+        # the steering parameters psm_steer reads from PlannerParams
         with pytest.raises(ValueError):
-            SteerParams(alpha=0.0)
+            PlannerParams(alpha=0.0)
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+            PlannerParams(beta=1.5)
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+            PlannerParams(beta=-0.1)
         with pytest.raises(ValueError):
-            SteerParams(beta=1.5)
+            PlannerParams(r=-1.0)
         with pytest.raises(ValueError):
-            SteerParams(r=-1.0)
+            PlannerParams(eps=0.0)
 
 
 class TestSteerPoint:
@@ -86,20 +92,20 @@ class TestSteerConstraint:
 
 class TestPsmSteer:
     def test_deterministic_plane_case(self):
-        params = SteerParams(alpha=0.5, beta=1.0, r=1.5)
+        params = PlannerParams(alpha=0.5, beta=1.0, r=1.5, eps=1e-9)
         rng = np.random.default_rng(0)
-        q = psm_steer(params, (0.0, 0.0, 0.0), (9.0, 9.0, 9.0), PLANE_Z, PLANE_X1, rng, eps=1e-9)
+        q = psm_steer(params, (0.0, 0.0, 0.0), (9.0, 9.0, 9.0), PLANE_Z, PLANE_X1, rng)
         assert q == pytest.approx([0.5, 0.0, 0.0], abs=1e-9)
 
     def test_postcondition_residuals(self):
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
-        params = SteerParams(alpha=1.0, beta=0.1, r=1.5)
+        params = PlannerParams(alpha=1.0, beta=0.1, r=1.5, eps=0.01)
         rng = np.random.default_rng(3)
         q_near = project(np.array([3.5, 3.5, 4.45]), m_i, eps=1e-9)
         for _ in range(200):
             info = {}
-            q = psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, eps=0.01, info=info)
+            q = psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
             if q is None:
                 continue
             if info["projected_intersection"]:
@@ -111,32 +117,32 @@ class TestPsmSteer:
     def test_step_length_is_alpha_exactly(self):
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
-        params = SteerParams(alpha=0.7, beta=0.2, r=1.5)
+        params = PlannerParams(alpha=0.7, beta=0.2, r=1.5, eps=0.01)
         rng = np.random.default_rng(5)
         q_near = project(np.array([1.0, 1.0, 0.0]), m_i, eps=1e-10)
         for _ in range(50):
             info = {}
-            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, eps=0.01, info=info)
+            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
             if "q_before_projection" in info:
                 step = np.linalg.norm(info["q_before_projection"] - q_near)
                 assert step == pytest.approx(0.7, abs=1e-12)
 
     def test_beta_zero_never_uses_constraint_steer(self):
-        params = SteerParams(alpha=1.0, beta=0.0, r=1.5)
+        params = PlannerParams(alpha=1.0, beta=0.0, r=1.5, eps=0.01)
         rng = np.random.default_rng(11)
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
         q_near = project(np.array([1.0, 1.0, 0.0]), m_i, eps=1e-10)
         for _ in range(200):
             info = {}
-            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, eps=0.01, info=info)
+            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
             assert not info["used_constraint_steer"]
 
     def test_zero_direction_discarded(self):
-        params = SteerParams(alpha=1.0, beta=0.0, r=1.5)
+        params = PlannerParams(alpha=1.0, beta=0.0, r=1.5, eps=1e-9)
         rng = np.random.default_rng(0)
         q = np.array([0.0, 0.0, 0.0])
-        assert psm_steer(params, q, q, PLANE_Z, PLANE_X1, rng, eps=1e-9) is None
+        assert psm_steer(params, q, q, PLANE_Z, PLANE_X1, rng) is None
 
     def test_intersection_projection_frequency(self):
         # after the step, the point sits at distance c from the next plane; the
@@ -145,13 +151,12 @@ class TestPsmSteer:
         x0 = 1.6  # c = |alpha - x0| = 0.6
         c = abs(alpha - x0)
         m_next = AffinePlane([[1.0, 0.0, 0.0]], [x0])
-        params = SteerParams(alpha=alpha, beta=0.0, r=r)
+        params = PlannerParams(alpha=alpha, beta=0.0, r=r, eps=1e-9)
         rng = np.random.default_rng(2024)
         n, hits = 10_000, 0
         for _ in range(n):
             info = {}
-            psm_steer(params, (0.0, 0.0, 0.0), (5.0, 0.0, 0.0), PLANE_Z, m_next, rng,
-                      eps=1e-9, info=info)
+            psm_steer(params, (0.0, 0.0, 0.0), (5.0, 0.0, 0.0), PLANE_Z, m_next, rng, info=info)
             hits += bool(info["projected_intersection"])
         p = (r - c) / r
         sigma = np.sqrt(p * (1 - p) / n)
@@ -159,12 +164,11 @@ class TestPsmSteer:
 
     def test_rng_draws_always_consumed(self):
         # identical rng streams stay aligned whether or not branches fire
-        params = SteerParams(alpha=1.0, beta=0.5, r=1.5)
+        params = PlannerParams(alpha=1.0, beta=0.5, r=1.5, eps=1e-9)
         rng_a = np.random.default_rng(77)
         rng_b = np.random.default_rng(77)
         for _ in range(100):
-            psm_steer(params, (0.0, 0.0, 0.0), tuple(RNG.uniform(-3, 3, 3)), PLANE_Z, PLANE_X1,
-                      rng_a, eps=1e-9)
+            psm_steer(params, (0.0, 0.0, 0.0), tuple(RNG.uniform(-3, 3, 3)), PLANE_Z, PLANE_X1, rng_a)
         for _ in range(100):
             rng_b.random()
             rng_b.uniform(0.0, params.r)
