@@ -199,11 +199,16 @@ def read_path_csv(file_path):
     header, body = rows[0], rows[1:]
     if not body:
         raise ValueError("path file has no vertices")
+    segs, configs = [], []
     for k, r in enumerate(body, start=2):
         if len(r) != len(header):
             raise ValueError(f"path file {file_path}: row {k} has {len(r)} fields, its header {len(header)}")
-    segs = [int(r[0]) for r in body]
-    configs = np.array([[float(x) for x in r[1:]] for r in body])
+        try:
+            segs.append(int(r[0]))
+            configs.append([float(x) for x in r[1:]])
+        except ValueError as err:
+            raise ValueError(f"path file {file_path}: row {k} has a field that is not a number ({err})") from None
+    configs = np.array(configs)
     bounds = [i - 1 for i in range(1, len(segs)) if segs[i] > segs[i - 1]]
     return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))
 

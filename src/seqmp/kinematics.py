@@ -211,10 +211,6 @@ class SerialChain:
         out[:, -1] = p + _in_frame(R, self._tool)
         return out
 
-    def fk_point(self, q, local=(0.0, 0.0, 0.0)):
-        pts, R, _ = self.fk_frames(q)
-        return pts[-1] + R @ np.asarray(local, dtype=float)
-
 
 @dataclass(frozen=True)
 class MultiRobotSystem:
@@ -264,9 +260,10 @@ class MultiRobotSystem:
         return out[0] if q.ndim == 1 else out
 
 
-def fk_position(sys, chain, point, q):
-    """World position of a point given in the tool frame of one chain."""
-    return sys.chains[chain].fk_point(sys.chain_config(q, chain), point)
+def tool_point(sys, chain, q):
+    """World position of one chain's tool point at the stacked configuration
+    q, read (read-only) from the chain's cached FK pass."""
+    return sys.chains[chain].fk_frames(sys.chain_config(q, chain))[0][-1]
 
 
 def _chain_columns(sys, chain):

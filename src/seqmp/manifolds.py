@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-DEFAULT_SV_TOL = 1e-9
+# singular values at or below SV_TOL times the largest count as zero
+SV_TOL = 1e-9
 DEFAULT_MAX_ITERS = 200
 DIVERGENCE_PATIENCE = 10
 
@@ -77,12 +78,12 @@ def fd_jacobian(m, q, step=1e-5):
     return J
 
 
-def newton_step(J, h, sv_tol=DEFAULT_SV_TOL):
-    """Minimum-norm solution s of J s = h, the step ``pinv(J, rcond=sv_tol) @ h``.
+def newton_step(J, h):
+    """Minimum-norm solution s of J s = h, the step ``pinv(J, rcond=SV_TOL) @ h``.
 
     A one-row J = g^T gives the closed form g (g.h) / (g.g), and zero when
     g = 0. More rows go to LAPACK's least squares (gelsd), which drops the
-    singular values <= sv_tol times the largest, the cut-off pinv uses, so
+    singular values <= SV_TOL times the largest, the cut-off pinv uses, so
     overdetermined stacks and singular poses take the same step.
     """
     if J.shape[0] == 1:
@@ -91,7 +92,7 @@ def newton_step(J, h, sv_tol=DEFAULT_SV_TOL):
         if gg == 0.0:
             return np.zeros_like(g)
         return g * (h[0] / gg)
-    return np.linalg.lstsq(J, h, rcond=sv_tol)[0]
+    return np.linalg.lstsq(J, h, rcond=SV_TOL)[0]
 
 
 def tangent_component(g, d):
@@ -106,13 +107,12 @@ def tangent_component(g, d):
     return d - g * ((g @ d) / gg)
 
 
-def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
+def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS):
     """Newton-style projection of ``q`` onto the manifold ``m``.
 
     Iterates q <- q - s with s the minimum-norm solution of J(q) s = h(q)
-    (``newton_step``: closed form for one row, least squares otherwise, with
-    singular values below ``sv_tol`` relative to the largest treated as
-    zero) until ||h(q)|| <= eps. Returns the projected configuration, or
+    (``newton_step``: closed form for one row, least squares otherwise)
+    until ||h(q)|| <= eps. Returns the projected configuration, or
     None when the iteration does not converge (the caller discards the
     sample).
     """
@@ -129,7 +129,7 @@ def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
     for _ in range(max_iters):
         J = np.asarray(m.jacobian(q), dtype=float)
         try:
-            step = newton_step(J, res, sv_tol)
+            step = newton_step(J, res)
         except np.linalg.LinAlgError:
             return None
         q = q - step
@@ -151,20 +151,18 @@ def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS, sv_tol=DEFAULT_SV_TOL):
     return None
 
 
-def tangent_nullspace(m, q, sv_tol=DEFAULT_SV_TOL):
+def tangent_nullspace(m, q):
     """Orthonormal basis of the tangent space null(J(q)), shape (k, k - rank).
 
-    Rank is the number of singular values above ``sv_tol`` times the largest.
+    Rank is the number of singular values above ``SV_TOL`` times the largest.
     A zero Jacobian yields the full identity basis. This takes a full SVD;
     a one-row constraint that only needs B B^T d has ``tangent_component``.
     """
-    if sv_tol <= 0:
-        raise ValueError("sv_tol must be positive")
     J = np.asarray(m.jacobian(q), dtype=float)
     _, s, Vt = np.linalg.svd(J, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(m.ambient_dim)
-    rank = int(np.sum(s > sv_tol * s[0]))
+    rank = int(np.sum(s > SV_TOL * s[0]))
     return Vt[rank:].T
 
 

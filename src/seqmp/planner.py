@@ -114,8 +114,7 @@ class Tree:
 
     def __init__(self, dim):
         self.dim = dim
-        self._configs = np.empty((0, dim))
-        # the same configurations column-major, (dim, capacity), so a query's
+        # the configurations column-major, (dim, capacity), so a query's
         # distance pass runs over contiguous rows
         self._cols = np.empty((dim, 0))
         self.parent = []
@@ -129,23 +128,18 @@ class Tree:
 
     @property
     def configs(self):
-        return self._configs[: len(self.parent)]
+        return self._cols[:, :len(self.parent)].T
 
     def config(self, i):
-        return self._configs[i]
+        return self._cols[:, i]
 
     def add(self, config, parent, cost, phase=0, on=()):
         i = len(self.parent)
-        if i == self._configs.shape[0]:
-            capacity = max(64, 2 * i)
-            grow = np.empty((capacity, self.dim))
-            grow[:i] = self._configs[:i]
-            self._configs = grow
-            cols = np.empty((self.dim, capacity))
+        if i == self._cols.shape[1]:
+            cols = np.empty((self.dim, max(64, 2 * i)))
             cols[:, :i] = self._cols[:, :i]
             self._cols = cols
-        self._configs[i] = config
-        self._cols[:, i] = self._configs[i]
+        self._cols[:, i] = config
         self.parent.append(parent)
         self.cost.append(cost)
         self.children.append([])
@@ -216,14 +210,12 @@ def row_norms(d):
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
-                    phase=0, on=(), edge_ok=None):
+def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, on=()):
     """Insert q_new with minimum-cost parent choice and rewiring.
 
-    ``segment_free(a_id, q)`` checks the straight segment; ``edge_ok``
-    optionally restricts which node pairs may be connected (single-tree
-    variant). Returns the new node id, or None when the initial segment
-    collides.
+    ``segment_free(a_id, q)`` checks the straight segment, and answers False
+    for a node q may not be joined to. Returns the new node id, or None when
+    the initial segment collides.
 
     The distances from q_new to the neighbours and ``near_id`` and the costs
     through them come from one batched pass. The parent search checks
@@ -239,8 +231,6 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma,
         return None
     radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = tree.near(q_new, radius)
-    if edge_ok is not None:
-        neighbors = [i for i in neighbors if edge_ok(i, on)]
     ids = neighbors + [near_id]
     dist = row_norms(q_new - tree.configs[ids])
     cost = np.fromiter(map(tree.cost.__getitem__, ids), dtype=float, count=len(ids))
@@ -294,7 +284,7 @@ class _Run:
         # the doubles and the RNG stream of rng.uniform(lo, hi), without its overhead
         return self.lo + self.span * self.rng.random(len(self.lo))
 
-    def extend(self, tree, q_rand, steer, segment_free, label=None, edge_ok=None):
+    def extend(self, tree, q_rand, steer, segment_free, label=None):
         """Extend ``tree`` toward ``q_rand`` on the manifold of its nearest node.
 
         ``steer(q_near, q_rand, m_i, m_next)`` proposes ``q_new``; one outside
@@ -314,7 +304,7 @@ class _Run:
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
         return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
-                               self.params, self.gamma, phase=phase, on=on, edge_ok=edge_ok)
+                               self.params, self.gamma, phase=phase, on=on)
 
 
 def _psm_steering(run):
@@ -339,7 +329,7 @@ def _stitch(segments):
     return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))
 
 
-def _psm_run(task, params, greedy, debug=None):
+def _psm_run(task, params, greedy):
     run = _Run(task, params)
     steer = _psm_steering(run)
     n = task.n_phases
@@ -348,7 +338,6 @@ def _psm_run(task, params, greedy, debug=None):
     sources = []  # per tree >0: node id -> source node id in previous tree
     tree = Tree(task.ambient_dim)
     tree.add(task.start(), parent=-1, cost=0.0)
-    trace = [] if debug is not None else None
 
     for i in range(n):
         m_next = task.manifolds[i + 1]
@@ -362,12 +351,8 @@ def _psm_run(task, params, greedy, debug=None):
             if norm(evaluate(m_next, q_new)) < params.eps and np.all(
                     row_norms(q_new - tree.configs[V_goal]) >= params.rho):
                 V_goal.append(new_id)
-            if trace is not None and i == n - 1 and V_goal:
-                trace.append(min(tree.cost[g] for g in V_goal))
         if not V_goal:
             raise PlanningFailure(phase=i)
-        if debug is not None:
-            debug.setdefault("v_goal_per_phase", []).append(list(V_goal))
         fs = task.advance_free_space(fs, i, tree.config(V_goal[0]))
         trees.append(tree)
         if i < n - 1:
@@ -386,21 +371,17 @@ def _psm_run(task, params, greedy, debug=None):
         segments.append([trees[t].config(j) for j in reversed(chain)])
         if t > 0:
             nid = sources[t - 1][chain[-1]]
-    if debug is not None:
-        debug["trees"] = trees
-        debug["sources"] = sources
-        debug["best_cost_trace"] = trace
     return _stitch(segments[::-1])
 
 
-def psm_star(task, params, debug=None):
+def psm_star(task, params):
     """Subtree-per-manifold planner keeping all intersection nodes."""
-    return _psm_run(task, params, greedy=False, debug=debug)
+    return _psm_run(task, params, greedy=False)
 
 
-def psm_star_greedy(task, params, debug=None):
+def psm_star_greedy(task, params):
     """Variant seeding each next subtree with only the cheapest intersection node."""
-    return _psm_run(task, params, greedy=True, debug=debug)
+    return _psm_run(task, params, greedy=True)
 
 
 def _shares_manifold(on_a, on_b):
@@ -435,7 +416,7 @@ def _single_tree_path(tree, goal, n):
                     for a, b in zip([0] + cuts, cuts + [len(chain) - 1])])
 
 
-def psm_star_single_tree(task, params, debug=None):
+def psm_star_single_tree(task, params):
     """Single tree grown over the whole manifold sequence (duplicate threshold 0)."""
     run = _Run(task, params)
     steer = _psm_steering(run)
@@ -451,14 +432,14 @@ def psm_star_single_tree(task, params, debug=None):
             return min(i + 1, n - 1), (i, i + 1)
         return i, (i,)
 
-    def edge_ok(node_id, on_new):
-        return _shares_manifold(tree.on[node_id], on_new)
-
     def segment_free(a_id, q, on_new):
-        return task.segment_free(tree.config(a_id), q, fs_list[_edge_manifold(tree.on[a_id], on_new, n)])
+        # an edge joins only two nodes that share a manifold
+        on_a = tree.on[a_id]
+        return _shares_manifold(on_a, on_new) and task.segment_free(
+            tree.config(a_id), q, fs_list[_edge_manifold(on_a, on_new, n)])
 
     for _ in range(n * params.m):
-        new_id = run.extend(tree, run.uniform(), steer, segment_free, label, edge_ok)
+        new_id = run.extend(tree, run.uniform(), steer, segment_free, label)
         if new_id is not None and len(tree.on[new_id]) == 2:
             i, j = tree.on[new_id]
             if fs_list[j] is None:
@@ -467,12 +448,10 @@ def psm_star_single_tree(task, params, debug=None):
                 goals.append(new_id)
     if not goals:
         raise PlanningFailure(phase=n - 1, message="goal manifold never reached")
-    if debug is not None:
-        debug["tree"] = tree
     return _single_tree_path(tree, min(goals, key=lambda g: (tree.cost[g], g)), n)
 
 
-def rrt_star_ik(task, params, debug=None):
+def rrt_star_ik(task, params):
     """Per-manifold baseline: fix an intersection goal by random-sample IK,
     then run goal-directed RRT* on the current manifold toward it."""
     run = _Run(task, params)

@@ -80,9 +80,6 @@ class FreeSpaceState:
         if len(ids) != len(set(ids)):
             raise ValueError("attachment object ids must be unique")
 
-    def object_count(self):
-        return len(self.obstacles) + len(self.attachments)
-
     @cached_property
     def corners(self):
         """The obstacles' (min, max) corners packed once, as two
@@ -112,7 +109,7 @@ class TransitionRule:
 
 
 def _attachment_center(record, q_end, system):
-    anchor = kin.fk_position(system, record.body, (0.0, 0.0, 0.0), q_end)
+    anchor = kin.tool_point(system, record.body, q_end)
     return anchor + np.asarray(record.offset)
 
 
@@ -126,7 +123,7 @@ def apply_transition(fs, rule, q_end, system=None):
         obj, body = effect["object"], effect["body"]
         if system is None:
             raise ValueError("attach/detach transitions require a kinematic system")
-        anchor = kin.fk_position(system, body, (0.0, 0.0, 0.0), np.asarray(q_end, dtype=float))
+        anchor = kin.tool_point(system, body, q_end)
         for rec in fs.attachments:
             if rec.object_id == obj:
                 # re-attach from another body, preserving the object's world pose

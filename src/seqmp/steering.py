@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import Intersection, evaluate, norm, project, tangent_component, tangent_nullspace
+from .manifolds import SV_TOL, Intersection, evaluate, norm, project, tangent_component, tangent_nullspace
 
 ZERO_DIRECTION_TOL = 1e-12
-KKT_RCOND = 1e-9
 
 
 def steer_point(q_near, q_rand, m):
@@ -42,11 +41,11 @@ def steer_constraint(q_near, m_i, m_next):
         return np.zeros_like(q_near)
     h_next = evaluate(m_next, q_near)
     J_next = np.asarray(m_next.jacobian(q_near), dtype=float)
-    z, *_ = np.linalg.lstsq(J_next @ B, -h_next, rcond=KKT_RCOND)
+    z, *_ = np.linalg.lstsq(J_next @ B, -h_next, rcond=SV_TOL)
     return B @ z
 
 
-def psm_steer(params, q_near, q_rand, m_i, m_next, rng, info=None):
+def psm_steer(params, q_near, q_rand, m_i, m_next, rng):
     """One steering attempt from a tree node on m_i, with the ``alpha``,
     ``beta``, ``r``, ``eps`` and ``max_project_iters`` of ``params`` (a
     ``PlannerParams``).
@@ -65,17 +64,10 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, info=None):
         d = steer_constraint(q_near, m_i, m_next)
     else:
         d = steer_point(q_near, q_rand, m_i)
-    if info is not None:
-        info["used_constraint_steer"] = use_constraint
-        info["threshold"] = threshold
     d_norm = norm(d)
     if d_norm < ZERO_DIRECTION_TOL:
         return None
     q_new = q_near + params.alpha * d / d_norm
-    to_intersection = norm(evaluate(m_next, q_new)) < threshold
-    if info is not None:
-        info["projected_intersection"] = to_intersection
-        info["q_before_projection"] = q_new.copy()
-    if to_intersection:
+    if norm(evaluate(m_next, q_new)) < threshold:
         return project(q_new, Intersection(m_i, m_next), params.eps, params.max_project_iters)
     return project(q_new, m_i, params.eps, params.max_project_iters)

@@ -234,6 +234,11 @@ class TestCli:
         ("0,3.5,3.5,4.45\n", "lacks its header row"),
         ("segment,q0,q1,q2\n0,3.5,3.5,4.45\n0,3.5\n", "row 3 has 2 fields, its header 4"),
         ("segment,q0,q1\n0,3.5,3.5\n1,0.0,0.0\n", "path has 2 coordinates per vertex, scene 'point3d_free' has 3"),
+        # {f} stands for the file's path
+        ("segment,q0,q1,q2\n0,3.5,3.5,4.45\nx,3.5,3.5,4.45\n",
+         "path file {f}: row 3 has a field that is not a number (invalid literal for int() with base 10: 'x')"),
+        ("segment,q0,q1,q2\n0,3.5,3.5,4.45\n0,3.5,a,4.45\n",
+         "path file {f}: row 3 has a field that is not a number (could not convert string to float: 'a')"),
     ])
     def test_validate_malformed_path_file_exits_2(self, tmp_path, capsys, text, message):
         f = tmp_path / "path.csv"
@@ -241,7 +246,7 @@ class TestCli:
         rc = main(["validate", "--path", str(f), "--scene", "point3d_free"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.format(f=f) in err
 
     @pytest.mark.parametrize("command", ["plan", "validate"])
     def test_params_that_are_not_an_object_exit_2(self, tmp_path, capsys, command):

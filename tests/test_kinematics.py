@@ -65,11 +65,11 @@ def _oracle_fk(chain, q):
 class TestForwardKinematics:
     def test_stretched_out_pose(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
-        assert kin.fk_position(sys, 0, (0, 0, 0), np.zeros(2)) == pytest.approx([2.0, 0.0, 0.0])
+        assert kin.tool_point(sys, 0, np.zeros(2)) == pytest.approx([2.0, 0.0, 0.0])
 
     def test_quarter_turn(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
-        p = kin.fk_position(sys, 0, (0, 0, 0), np.array([np.pi / 2, 0.0]))
+        p = kin.tool_point(sys, 0, np.array([np.pi / 2, 0.0]))
         assert p == pytest.approx([0.0, 2.0, 0.0], abs=1e-12)
 
     def test_matches_homogeneous_transform_oracle(self):
@@ -78,7 +78,7 @@ class TestForwardKinematics:
                 for _ in range(20):
                     q_full = RNG.uniform(-1.5, 1.5, size=sys.dof)
                     q = sys.chain_config(q_full, chain_idx)
-                    p = kin.fk_position(sys, chain_idx, (0, 0, 0), q_full)
+                    p = kin.tool_point(sys, chain_idx, q_full)
                     assert p == pytest.approx(_oracle_fk(chain, q), abs=1e-10)
 
     def test_invalid_chain_index(self):
@@ -99,7 +99,7 @@ class TestForwardKinematics:
             tool=(0.0, 0.0, 0.5),
         )
         sys = kin.MultiRobotSystem(chains=(chain,))
-        assert kin.fk_position(sys, 0, (0, 0, 0), np.array([0.7])) == pytest.approx([0.7, 0.0, 0.5])
+        assert kin.tool_point(sys, 0, np.array([0.7])) == pytest.approx([0.7, 0.0, 0.5])
 
     def test_joint_axis_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestPickConstraint:
     def test_zero_residual_at_target(self):
         sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
         q = np.array([0.3, -0.4])
-        x_g = kin.fk_position(sys, 0, (0, 0, 0), q)
+        x_g = kin.tool_point(sys, 0, q)
         m = kin.Pick(sys, 0, x_g)
         assert evaluate(m, q) == pytest.approx(np.zeros(3), abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestPickConstraint:
         m = kin.Pick(sys, 0, x_g)
         for _ in range(10):
             q = RNG.uniform(-2, 2, size=2)
-            expected = x_g - kin.fk_position(sys, 0, (0, 0, 0), q)
+            expected = x_g - kin.tool_point(sys, 0, q)
             assert evaluate(m, q) == pytest.approx(expected, abs=1e-12)
 
     def test_projection_reaches_target(self):
@@ -139,7 +139,7 @@ class TestPickConstraint:
             q = project(RNG.uniform(-2, 2, size=2), m, eps=1e-6)
             if q is not None:
                 hits += 1
-                assert np.linalg.norm(x_g - kin.fk_position(sys, 0, (0, 0, 0), q)) <= 1e-6
+                assert np.linalg.norm(x_g - kin.tool_point(sys, 0, q)) <= 1e-6
         assert hits >= 5
 
 
@@ -173,8 +173,8 @@ class TestHandoverConstraint:
             q = project(RNG.uniform(-2, 2, size=4), m, eps=1e-6)
             if q is not None:
                 hits += 1
-                p1 = kin.fk_position(sys, 0, (0, 0, 0), q)
-                p2 = kin.fk_position(sys, 1, (0, 0, 0), q)
+                p1 = kin.tool_point(sys, 0, q)
+                p2 = kin.tool_point(sys, 1, q)
                 assert np.linalg.norm(p1 - p2) <= 1e-6
         assert hits >= 5
 
@@ -218,7 +218,7 @@ def test_fk_smoothness_smoke():
         dq = RNG.normal(size=sys.dof)
         dq *= delta / np.linalg.norm(dq)
         move = np.linalg.norm(
-            kin.fk_position(sys, 0, (0, 0, 0), q + dq) - kin.fk_position(sys, 0, (0, 0, 0), q)
+            kin.tool_point(sys, 0, q + dq) - kin.tool_point(sys, 0, q)
         )
         assert move <= 5.0 * delta  # total link length bounds the FK Lipschitz constant
 
@@ -273,7 +273,7 @@ class TestBodyPoints:
         for q in RNG.uniform(-2.0, 2.0, size=(5, sys.dof)):
             pts = sys.body_points(q)
             for c in range(len(sys.chains)):
-                assert pts[sys.tool_rows[c]] == pytest.approx(kin.fk_position(sys, c, (0, 0, 0), q), abs=1e-12)
+                assert pts[sys.tool_rows[c]] == pytest.approx(kin.tool_point(sys, c, q), abs=1e-12)
 
 
 def _memo_chains():
@@ -529,16 +529,21 @@ def _old_tool_axis(sys, chain, q, local_axis=(0.0, 0.0, 1.0)):
     return R @ np.asarray(local_axis, dtype=float)
 
 
+def _old_fk_position(sys, chain, q):
+    """The tool point as fk_position gave it: the tool frame's origin plus R times a zero local point."""
+    pts, R, _ = sys.chains[chain].fk_frames(sys.chain_config(q, chain))
+    return pts[-1] + R @ np.zeros(3)
+
+
 def _old_constraint(kind, sys, args, q):
     """(h, J) of a pick, handover or orientation constraint, built from fk_position,
     the tool axis and chain_config."""
-    zero = (0.0, 0.0, 0.0)
     if kind == "pick":
         chain, x_g = args
-        return (x_g - kin.fk_position(sys, chain, zero, q), -_old_tool_jacobian(sys, chain, q))
+        return (x_g - _old_fk_position(sys, chain, q), -_old_tool_jacobian(sys, chain, q))
     if kind == "handover":
         a, b = args
-        return (kin.fk_position(sys, a, zero, q) - kin.fk_position(sys, b, zero, q),
+        return (_old_fk_position(sys, a, q) - _old_fk_position(sys, b, q),
                 _old_tool_jacobian(sys, a, q) - _old_tool_jacobian(sys, b, q))
     chain, e_z = args
     c, lo = sys.chains[chain], sys.offsets[chain]

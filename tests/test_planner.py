@@ -511,17 +511,58 @@ class TestDegenerateTasks:
             psm_star(task, SMALL)
 
 
-class TestInvariants:
-    def _run_debug(self, planner=psm_star, m=150, seed=0):
-        task = build_benchmark_scene("point3d_free")
-        params = PlannerParams(m=m, seed=seed)
-        debug = {}
-        path = planner(task, params, debug=debug)
-        return task, params, path, debug
+class RecordingTree(Tree):
+    """A Tree that records what the planner does to it: each ``add``'s parent
+    and cost, every edge it makes (parent, child), and each ``reparent`` as
+    (node, cost before, cost after)."""
 
-    def test_cost_consistency_and_residual_guard(self):
-        task, params, _, debug = self._run_debug()
-        for phase, tree in enumerate(debug["trees"]):
+    made = None  # the list every new RecordingTree is appended to
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.added, self.edges, self.rewires = [], [], []
+        self.made.append(self)
+
+    def add(self, config, parent, cost, **kw):
+        i = super().add(config, parent, cost, **kw)
+        self.added.append((parent, cost))
+        if parent >= 0:
+            self.edges.append((parent, i))
+        return i
+
+    def reparent(self, node, new_parent, new_cost):
+        self.edges.append((new_parent, node))
+        self.rewires.append((node, self.cost[node], new_cost))
+        super().reparent(node, new_parent, new_cost)
+
+
+@pytest.fixture
+def recorded_trees(monkeypatch):
+    """The trees a planner builds, in order, each a ``RecordingTree``."""
+    trees = []
+    monkeypatch.setattr(RecordingTree, "made", trees)
+    monkeypatch.setattr(planner, "Tree", RecordingTree)
+    return trees
+
+
+def _seeds(tree):
+    """Ids of the nodes added as roots (parent -1)."""
+    return [i for i, (parent, _) in enumerate(tree.added) if parent == -1]
+
+
+class TestInvariants:
+    @pytest.fixture
+    def psm_run(self, recorded_trees):
+        """(task, params, path, trees) of one psm run on point3d_free."""
+        task = build_benchmark_scene("point3d_free")
+        params = PlannerParams(m=150, seed=0)
+        path = psm_star(task, params)
+        assert len(recorded_trees) == task.n_phases
+        return task, params, path, recorded_trees
+
+    def test_cost_consistency_and_residual_guard(self, psm_run):
+        task, params, _, trees = psm_run
+        for phase, tree in enumerate(trees):
             m = task.manifolds[phase]
             for i in range(len(tree)):
                 assert np.linalg.norm(evaluate(m, tree.config(i))) <= params.eps * (1 + 1e-9)
@@ -530,12 +571,11 @@ class TestInvariants:
                     edge = np.linalg.norm(tree.config(i) - tree.config(p))
                     assert tree.cost[i] == pytest.approx(tree.cost[p] + edge, abs=1e-9)
 
-    def test_tree_costs_match_dijkstra_on_final_edges(self):
+    def test_tree_costs_match_dijkstra_on_final_edges(self, psm_run):
         import scipy.sparse.csgraph as csgraph
         from scipy.sparse import csr_matrix
 
-        _, _, _, debug = self._run_debug()
-        for tree in debug["trees"]:
+        for tree in psm_run[3]:
             # a source node n reaches each root r by an edge of cost[r] + 1 (an edge of 0 would be
             # no edge), so a node's distance from it, less 1, is its cheapest cost over the forest
             n = len(tree)
@@ -550,10 +590,11 @@ class TestInvariants:
             dist = csgraph.dijkstra(csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)), indices=n)
             assert tree.cost == pytest.approx(dist[:n] - 1.0, abs=1e-9)
 
-    def test_goal_set_separation_and_membership(self):
-        task, params, _, debug = self._run_debug()
-        for phase, (tree, ids) in enumerate(zip(debug["trees"], debug["v_goal_per_phase"])):
-            pts = np.array([tree.config(i) for i in ids])
+    def test_goal_set_separation_and_membership(self, psm_run):
+        # V_goal of phases 0..n-2 is the set of seeds of the next tree
+        task, params, _, trees = psm_run
+        for phase, tree in enumerate(trees[1:]):
+            pts = np.array([tree.config(i) for i in _seeds(tree)])
             m_next = task.manifolds[phase + 1]
             for p in pts:
                 assert np.linalg.norm(evaluate(m_next, p)) <= params.eps
@@ -561,35 +602,47 @@ class TestInvariants:
                 for j in range(i + 1, len(pts)):
                     assert np.linalg.norm(pts[i] - pts[j]) >= params.rho
 
-    def test_seeds_preserve_costs_across_subtrees(self):
-        _, _, _, debug = self._run_debug()
-        trees, sources = debug["trees"], debug["sources"]
-        for t in range(1, len(trees)):
+    def test_seeds_preserve_costs_across_subtrees(self, psm_run):
+        trees = psm_run[3]
+        assert _seeds(trees[0]) == [0]  # the start
+        for prev, tree in zip(trees, trees[1:]):
+            seeds = _seeds(tree)
             # every root of a subtree is one of its seeds; rewiring may hang a seed below another node
-            roots = [i for i, p in enumerate(trees[t].parent) if p < 0]
-            assert roots and set(roots) <= set(sources[t - 1])
-            for nid, src in sources[t - 1].items():
-                assert np.array_equal(trees[t].config(nid), trees[t - 1].config(src))
-                # seed cost preserved at creation; later rewiring may only lower it
-                assert trees[t].cost[nid] <= trees[t - 1].cost[src] + 1e-9
+            roots = [i for i, p in enumerate(tree.parent) if p < 0]
+            assert roots and set(roots) <= set(seeds)
+            for nid in seeds:
+                # a seed is a node of the previous tree, added at that node's final cost
+                q, cost = tree.config(nid), tree.added[nid][1]
+                assert any(np.array_equal(q, prev.config(j)) and cost == prev.cost[j] for j in range(len(prev)))
+                # later rewiring may only lower it
+                assert tree.cost[nid] <= cost
 
-    def test_best_cost_trace_non_increasing(self):
-        _, _, _, debug = self._run_debug()
-        trace = debug["best_cost_trace"]
-        assert trace, "goal manifold was reached"
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    def test_every_rewire_lowers_a_cost(self, psm_run):
+        rewires = [r for tree in psm_run[3] for r in tree.rewires]
+        assert rewires
+        assert all(after < before for _, before, after in rewires)
 
-    def test_extracted_path_validates(self):
-        task, params, path, _ = self._run_debug()
+    def test_extracted_path_validates(self, psm_run):
+        task, params, path, _ = psm_run
         assert validate_solution(task, path, params) == []
         assert path.total_cost == pytest.approx(path.polyline_length())
 
-    def test_single_tree_node_budget(self):
+    def test_single_tree_node_budget(self, recorded_trees):
         task = build_benchmark_scene("point3d_free")
         params = PlannerParams(m=100, seed=1)
-        debug = {}
-        psm_star_single_tree(task, params, debug=debug)
-        assert len(debug["tree"]) <= task.n_phases * params.m + 1
+        psm_star_single_tree(task, params)
+        (tree,) = recorded_trees
+        assert len(tree) <= task.n_phases * params.m + 1
+
+    def test_single_tree_edges_share_a_manifold(self, recorded_trees):
+        # every edge the single tree ever makes, at an add or a rewire, joins
+        # two nodes that lie on one manifold
+        psm_star_single_tree(build_benchmark_scene("point3d_free"), PlannerParams(m=300, seed=0))
+        (tree,) = recorded_trees
+        assert tree.edges and tree.rewires
+        assert any(len(on) == 2 for on in tree.on)  # the tree crossed between manifolds
+        for parent, child in tree.edges:
+            assert planner._shares_manifold(tree.on[parent], tree.on[child])
 
     def test_determinism_bit_for_bit(self):
         task = build_benchmark_scene("point3d_free")
@@ -623,34 +676,21 @@ class TestThetaTaskComparisons:
         assert np.mean(ik_costs) >= np.mean(psm_costs)
 
 
-def test_ik_goal_connection_is_cheapest_after_rewiring(monkeypatch):
+def test_ik_goal_connection_is_cheapest_after_rewiring(recorded_trees):
     # rewiring lowers the cost of nodes already linked to the IK goal; the
     # chosen connection must be the cheapest at the end of the phase
-    trees = []
-
-    class RecordingTree(Tree):
-        def __init__(self, dim):
-            super().__init__(dim)
-            self.cost_at_add = []
-            trees.append(self)
-
-        def add(self, config, parent, cost, **kw):
-            self.cost_at_add.append(cost)
-            return super().add(config, parent, cost, **kw)
-
-    monkeypatch.setattr(planner, "Tree", RecordingTree)
     task = build_benchmark_scene("point3d_free")  # no obstacles: every link within alpha is free
     params = PlannerParams(m=600, seed=0)
     path = rrt_star_ik(task, params)
-    assert len(trees) == task.n_phases
+    assert len(recorded_trees) == task.n_phases
     stale = 0
-    for tree, (a, b) in zip(trees, path.segments()):
+    for tree, (a, b) in zip(recorded_trees, path.segments()):
         goal = path.configs[b]
         links = [(float(np.linalg.norm(tree.config(j) - goal)), j) for j in range(len(tree))]
         links = [(gd, j) for gd, j in links if gd <= params.alpha]
         assert polyline_length(path.configs[a:b + 1]) == pytest.approx(
             min(tree.cost[j] + gd for gd, j in links), abs=1e-9)
-        stale += sum(tree.cost[j] < tree.cost_at_add[j] for _, j in links)
+        stale += sum(tree.cost[j] < tree.added[j][1] for _, j in links)
     assert stale  # some linked node did get cheaper after it was linked
 
 

@@ -167,7 +167,7 @@ class TestPackedCorners:
 class TestKinematicSegmentCheck:
     @staticmethod
     def _reference(qa, qb, fs, system, step):
-        """Per-point loop: scalar FK of each interpolation point, attachments from fk_position."""
+        """Per-point loop: scalar FK of each interpolation point, attachments from tool_point."""
         n = max(1, int(np.ceil(np.linalg.norm(qb - qa) / step)))
         for t in np.linspace(0.0, 1.0, n + 1):
             q = qa + t * (qb - qa)
@@ -176,7 +176,7 @@ class TestKinematicSegmentCheck:
                 frames = chain.fk_frames(system.chain_config(q, c))[0]
                 pts += [frames, 0.5 * (frames[:-1] + frames[1:])]
             for rec in fs.attachments:
-                pts.append(kin.fk_position(system, rec.body, (0, 0, 0), q) + np.asarray(rec.offset))
+                pts.append(kin.tool_point(system, rec.body, q) + np.asarray(rec.offset))
             pts = np.vstack(pts)
             if any(np.any(ob.contains(pts)) for ob in fs.obstacles):
                 return False
@@ -191,7 +191,7 @@ class TestKinematicSegmentCheck:
             fs = apply_transition(fs, task.transitions[0], task.start(), task.system)
             # a box around the carried object's centre at the start, clear of every body point
             rec = fs.attachments[0]
-            center = kin.fk_position(task.system, rec.body, (0, 0, 0), task.start()) + np.asarray(rec.offset)
+            center = kin.tool_point(task.system, rec.body, task.start()) + np.asarray(rec.offset)
             box = ObstacleAABB(tuple(center - 0.03), tuple(center + 0.03), name="probe")
             fs = FreeSpaceState(obstacles=fs.obstacles + (box,), attachments=fs.attachments)
             q0 = task.start()
@@ -224,7 +224,7 @@ class TestApplyTransition:
         out = apply_transition(fs, rule, task.start(), task.system)
         assert "obj1" not in [o.name for o in out.obstacles]
         assert [a.object_id for a in out.attachments] == ["obj1"]
-        assert out.object_count() == fs.object_count()
+        assert len(out.obstacles) + len(out.attachments) == len(fs.obstacles) + len(fs.attachments)
 
     def test_detach_places_object_at_fk_pose(self):
         task, fs = self._setup()
@@ -235,9 +235,9 @@ class TestApplyTransition:
         assert not out.attachments
         box = [o for o in out.obstacles if o.name == "obj1"][0]
         # oracle: world pose implied by FK at q_end plus the stored offset
-        expected = kin.fk_position(task.system, rec.body, (0, 0, 0), q_end) + np.asarray(rec.offset)
+        expected = kin.tool_point(task.system, rec.body, q_end) + np.asarray(rec.offset)
         assert box.center() == pytest.approx(expected, abs=1e-12)
-        assert out.object_count() == fs.object_count()
+        assert len(out.obstacles) + len(out.attachments) == len(fs.obstacles) + len(fs.attachments)
 
     def test_attach_unknown_object_raises(self):
         task, fs = self._setup()
@@ -285,7 +285,7 @@ class TestBenchmarkScenes:
         # stored numbers the geometry defines: the pick target is the chain-0 tool
         # point at the start, and obj1 sits 2 cm plus its half-extent below it
         task = build_benchmark_scene(name)
-        tool = kin.fk_position(task.system, 0, (0.0, 0.0, 0.0), task.start())
+        tool = kin.tool_point(task.system, 0, task.start())
         pick = json.loads(export_scene_json(name))["manifolds"][0]
         assert pick["name"] == "pick"
         assert np.max(np.abs(np.asarray(pick["params"]["target"]) - tool)) <= 1e-12

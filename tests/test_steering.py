@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from seqmp.manifolds import AffinePlane, Cylinder, Paraboloid, evaluate, project, tangent_nullspace
+from seqmp import steering
+from seqmp.manifolds import AffinePlane, Cylinder, Intersection, Paraboloid, evaluate, project, tangent_nullspace
 from seqmp.planner import PlannerParams
 from seqmp.steering import psm_steer, steer_constraint, steer_point
 
@@ -90,6 +91,19 @@ class TestSteerConstraint:
             assert drop >= best - 1e-9
 
 
+def record_calls(monkeypatch, name):
+    """Replace ``steering.<name>`` with a wrapper that appends each call's
+    positional arguments to the returned list, then calls the original."""
+    calls, original = [], getattr(steering, name)
+
+    def recorder(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(steering, name, recorder)
+    return calls
+
+
 class TestPsmSteer:
     def test_deterministic_plane_case(self):
         params = PlannerParams(alpha=0.5, beta=1.0, r=1.5, eps=1e-9)
@@ -97,46 +111,49 @@ class TestPsmSteer:
         q = psm_steer(params, (0.0, 0.0, 0.0), (9.0, 9.0, 9.0), PLANE_Z, PLANE_X1, rng)
         assert q == pytest.approx([0.5, 0.0, 0.0], abs=1e-9)
 
-    def test_postcondition_residuals(self):
+    def test_postcondition_residuals(self, monkeypatch):
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
         params = PlannerParams(alpha=1.0, beta=0.1, r=1.5, eps=0.01)
         rng = np.random.default_rng(3)
         q_near = project(np.array([3.5, 3.5, 4.45]), m_i, eps=1e-9)
+        projections = record_calls(monkeypatch, "project")
         for _ in range(200):
-            info = {}
-            q = psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
+            projections.clear()
+            q = psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng)
             if q is None:
                 continue
-            if info["projected_intersection"]:
+            (_, target, *_), = projections
+            if isinstance(target, Intersection):
                 assert np.linalg.norm(np.concatenate([evaluate(m_i, q), evaluate(m_next, q)])) <= 0.01
             else:
                 assert np.linalg.norm(evaluate(m_i, q)) <= 0.01
             q_near = q
 
-    def test_step_length_is_alpha_exactly(self):
+    def test_step_length_is_alpha_exactly(self, monkeypatch):
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
         params = PlannerParams(alpha=0.7, beta=0.2, r=1.5, eps=0.01)
         rng = np.random.default_rng(5)
         q_near = project(np.array([1.0, 1.0, 0.0]), m_i, eps=1e-10)
+        projections = record_calls(monkeypatch, "project")
         for _ in range(50):
-            info = {}
-            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
-            if "q_before_projection" in info:
-                step = np.linalg.norm(info["q_before_projection"] - q_near)
-                assert step == pytest.approx(0.7, abs=1e-12)
+            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng)
+        assert projections
+        for q_step, *_ in projections:  # project receives the configuration one step from q_near
+            assert np.linalg.norm(q_step - q_near) == pytest.approx(0.7, abs=1e-12)
 
-    def test_beta_zero_never_uses_constraint_steer(self):
+    def test_beta_zero_never_uses_constraint_steer(self, monkeypatch):
         params = PlannerParams(alpha=1.0, beta=0.0, r=1.5, eps=0.01)
         rng = np.random.default_rng(11)
         m_i = Paraboloid(0.1, 2.0)
         m_next = Cylinder(0.25, 1.0)
         q_near = project(np.array([1.0, 1.0, 0.0]), m_i, eps=1e-10)
+        constraint_steers = record_calls(monkeypatch, "steer_constraint")
+        projections = record_calls(monkeypatch, "project")
         for _ in range(200):
-            info = {}
-            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng, info=info)
-            assert not info["used_constraint_steer"]
+            psm_steer(params, q_near, rng.uniform(-6, 6, 3), m_i, m_next, rng)
+        assert projections and not constraint_steers
 
     def test_zero_direction_discarded(self):
         params = PlannerParams(alpha=1.0, beta=0.0, r=1.5, eps=1e-9)
@@ -144,7 +161,7 @@ class TestPsmSteer:
         q = np.array([0.0, 0.0, 0.0])
         assert psm_steer(params, q, q, PLANE_Z, PLANE_X1, rng) is None
 
-    def test_intersection_projection_frequency(self):
+    def test_intersection_projection_frequency(self, monkeypatch):
         # after the step, the point sits at distance c from the next plane; the
         # intersection projection fires iff the Uniform(0, r) draw exceeds c
         alpha, r = 1.0, 1.5
@@ -153,11 +170,12 @@ class TestPsmSteer:
         m_next = AffinePlane([[1.0, 0.0, 0.0]], [x0])
         params = PlannerParams(alpha=alpha, beta=0.0, r=r, eps=1e-9)
         rng = np.random.default_rng(2024)
-        n, hits = 10_000, 0
+        projections = record_calls(monkeypatch, "project")
+        n = 10_000
         for _ in range(n):
-            info = {}
-            psm_steer(params, (0.0, 0.0, 0.0), (5.0, 0.0, 0.0), PLANE_Z, m_next, rng, info=info)
-            hits += bool(info["projected_intersection"])
+            psm_steer(params, (0.0, 0.0, 0.0), (5.0, 0.0, 0.0), PLANE_Z, m_next, rng)
+        assert len(projections) == n
+        hits = sum(isinstance(target, Intersection) for _, target, *_ in projections)
         p = (r - c) / r
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= 3 * sigma
