@@ -56,12 +56,6 @@ def _cross_matrix(axis):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _in_frame(R, v):
-    """R @ v, where R None stands for the identity: then v itself, without a
-    product (multiplying by the identity gives the same values)."""
-    return v if R is None else R @ v
-
-
 def _cross(a, b):
     """Cross product along the first axis of (3, ...) arrays.
 
@@ -174,7 +168,7 @@ class SerialChain:
                 else:
                     R = R @ _rotation(unit, qi)
             pts[j + 1] = p
-        pts[-1] = p + _in_frame(R, self._tool)
+        pts[-1] = p + (self._tool if R is None else R @ self._tool)
         out = (pts, _I3 if R is None else R, axes)
         for a in out:
             a.flags.writeable = False
@@ -202,13 +196,20 @@ class SerialChain:
         p = out[:, 0] = self._base
         R = None  # the identity, until the first revolute joint
         for j, (origin, axis, _, k) in enumerate(self._terms):
-            p = p + _in_frame(R, origin)
-            if k is None:
-                p = p + _in_frame(R, axis) * Q[:, j, None]
+            if R is None:  # a product by the identity gives the same values: skip it
+                p = p + origin
+                if k is None:
+                    p = p + axis * Q[:, j, None]
+                else:
+                    R = rot[:, k]
             else:
-                R = _in_frame(R, rot[:, k])
+                p = p + R @ origin
+                if k is None:
+                    p = p + (R @ axis) * Q[:, j, None]
+                else:
+                    R = R @ rot[:, k]
             out[:, j + 1] = p
-        out[:, -1] = p + _in_frame(R, self._tool)
+        out[:, -1] = p + (self._tool if R is None else R @ self._tool)
         return out
 
 

@@ -3,18 +3,19 @@
 The four planners share one core: ``_Run`` holds a run's set-up (start
 check, RNG, sampling bounds, RRT* gamma), ``_Run.extend`` is the one RRT*
 step every tree grows by (nearest -> steer -> in-bounds check -> residual
-<= eps on the nearest node's manifold -> ``rrt_star_extend``), and
-``_stitch`` builds every ``SolutionPath``. A planner is a choice of policies
-on top of that core:
+<= eps on the nearest node's manifold -> ``rrt_star_extend``, which drops a
+q_new that duplicates a node of the tree), and ``_stitch`` builds every
+``SolutionPath``. A planner is a choice of policies on top of that core:
 
 - sampler: uniform, or biased toward a fixed IK goal (``rrtstar-ik``);
 - steer: ``psm_steer``, or one tangent step plus projection (``rrtstar-ik``);
 - node label: each node's phase (manifold index), plus for the single tree
   the manifolds it lies on, since that tree joins only nodes sharing one;
-- goal and seeding: the intersection nodes kept ``rho`` apart all seed the
-  next subtree (``psm``) or only the cheapest does (``psm-greedy``), the
-  goal-manifold nodes of one tree over the whole sequence (``psm-single``),
-  or the cheapest connection to the IK goal (``rrtstar-ik``).
+- goal and seeding: the intersection nodes kept ``rho`` (the intersection
+  spacing) apart all seed the next subtree (``psm``) or only the cheapest
+  does (``psm-greedy``), the goal-manifold nodes of one tree over the whole
+  sequence (``psm-single``), or the cheapest connection to the IK goal
+  (``rrtstar-ik``).
 
 Every planner is deterministic for a fixed (task, params, seed).
 """
@@ -31,6 +32,8 @@ from .steering import ZERO_DIRECTION_TOL, psm_steer, steer_point
 
 IK_RETRIES = 100
 IK_GOAL_BIAS = 0.1
+# a q_new within DUPLICATE_TOL * eps of a node of its tree is that node again
+DUPLICATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -215,10 +218,14 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
 
     ``segment_free(a_id, q)`` checks the straight segment, and answers False
     for a node q may not be joined to. Returns the new node id, or None when
-    the initial segment collides.
+    the initial segment collides or q_new duplicates a node: lies within
+    ``DUPLICATE_TOL * params.eps`` of ``near_id`` or of a neighbour.
 
     The distances from q_new to the neighbours and ``near_id`` and the costs
-    through them come from one batched pass. The parent search checks
+    through them come from one batched pass, made after the first segment
+    check. A duplicate is dropped on that pass, before any parent search,
+    insertion or rewiring. A node that close is always ``near_id`` or a
+    neighbour: the rewiring radius is far larger. The parent search checks
     collisions lazily, as OMPL's RRTstar does: the neighbours that would beat
     ``near_id`` are tried in order of (cost through them, id), and the first
     free one is the parent: the cheapest free neighbour, lowest id on ties,
@@ -233,6 +240,8 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
     neighbors = tree.near(q_new, radius)
     ids = neighbors + [near_id]
     dist = row_norms(q_new - tree.configs[ids])
+    if dist.min() <= DUPLICATE_TOL * params.eps:
+        return None
     cost = np.fromiter(map(tree.cost.__getitem__, ids), dtype=float, count=len(ids))
     via = cost + dist  # cost of q_new through each node; near_id's is last
     nbr = np.array(neighbors, dtype=np.intp)
@@ -292,7 +301,8 @@ class _Run:
         to ``rrt_star_extend``. ``label(i, q_new)`` gives the new node's
         ``(phase, on)`` (default ``(i, ())``), and ``segment_free(a_id, q,
         on)`` checks the segment from node ``a_id`` to it. Returns the new
-        node id or None.
+        node id, or None for a dropped sample, including a ``q_new`` that
+        duplicates a node (see ``rrt_star_extend``).
         """
         near_id = tree.nearest(q_rand)
         i = tree.phase[near_id]
@@ -417,7 +427,8 @@ def _single_tree_path(tree, goal, n):
 
 
 def psm_star_single_tree(task, params):
-    """Single tree grown over the whole manifold sequence (duplicate threshold 0)."""
+    """Single tree grown over the whole manifold sequence; every node it
+    inserts on the goal manifold is a goal, with no ``rho`` spacing."""
     run = _Run(task, params)
     steer = _psm_steering(run)
     n = task.n_phases
@@ -517,7 +528,9 @@ def validate_solution(task, path, params):
     Verifies per-segment constraint residuals, boundary continuity, bounded
     step lengths, joint limits, collision freedom under the per-segment free
     space, and cost bookkeeping. Returns a list of violation strings (empty
-    if valid).
+    if valid). A path with a non-finite vertex gets only the "not finite"
+    violations: a NaN makes every later comparison come out False, so each
+    of those tests would pass it.
     """
     violations = []
     eps = params.eps * (1.0 + 1e-9) + 1e-12
@@ -527,6 +540,10 @@ def validate_solution(task, path, params):
     segs = path.segments()
     if len(segs) != task.n_phases:
         violations.append(f"expected {task.n_phases} segments, got {len(segs)}")
+        return violations
+    for v in np.flatnonzero(~np.isfinite(path.configs).all(axis=1)):
+        violations.append(f"vertex {v}: not finite")
+    if violations:
         return violations
     if not np.allclose(path.configs[0], task.start()):
         violations.append("path does not start at the task start configuration")

@@ -229,6 +229,22 @@ class TestCli:
                    "--params", params])
         assert rc == 1
 
+    def test_validate_catches_a_vertex_that_is_not_finite(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        params = self._params_file(tmp_path, m=300)
+        main(["plan", "--scene", "point3d_free", "--planner", "psm", "--seed", "0",
+              "--params", params, "--out", str(out)])
+        lines = (out / "path.csv").read_text().splitlines()
+        mid = len(lines) // 2  # a vertex row: line 0 is the header
+        lines[mid] = lines[mid].split(",")[0] + ",nan,nan,nan"
+        (out / "nan.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["validate", "--path", str(out / "nan.csv"), "--scene", "point3d_free",
+                   "--params", params])
+        assert rc == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("INVALID") and f"vertex {mid - 1}: not finite" in printed
+
     @pytest.mark.parametrize("text, message", [
         ("", "lacks its header row"),
         ("0,3.5,3.5,4.45\n", "lacks its header row"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmp import bench
 from seqmp import kinematics as kin
 from seqmp import planner
 from seqmp.manifolds import AffinePlane, PointGoal, evaluate
@@ -318,6 +319,12 @@ def _old_parent_search(tree, near_id, q_new, neighbors, free):
     return q_min, checks
 
 
+def _duplicates_a_node(tree, near_id, q_new, neighbors, params):
+    """Whether q_new lies within DUPLICATE_TOL * eps of near_id or a neighbour, by scalar norms."""
+    return any(np.linalg.norm(q_new - tree.config(i)) <= planner.DUPLICATE_TOL * params.eps
+               for i in neighbors + [near_id])
+
+
 def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
     """rrt_star_extend as one loop per neighbour, each distance a scalar np.linalg.norm."""
     q_new = np.asarray(q_new, dtype=float)
@@ -325,6 +332,8 @@ def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
         return None
     radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = tree.near(q_new, radius)
+    if _duplicates_a_node(tree, near_id, q_new, neighbors, params):
+        return None
     q_min = near_id
     c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
     candidates = []
@@ -410,7 +419,12 @@ class TestDelayedParentCheck:
         old_parent, old_checks = _old_parent_search(tree, near_id, q_new, neighbors, free)
         assert old_parent == want
 
+        duplicate = _duplicates_a_node(tree, near_id, q_new, neighbors, params)
         new_id = rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma)
+        if duplicate:  # q_new is a node again: dropped after near_id's check, before the parent search
+            assert new_id is None and len(tree) == n
+            assert parent_checks == [near_id]
+            return
         assert tree.parent[new_id] == want
         assert tree.cost[new_id] == c_best
         assert len(parent_checks) - 1 <= old_checks  # the first check is near_id's
@@ -473,6 +487,46 @@ class TestDelayedParentCheck:
         self._assert_same_tree(old, new)
         assert new.parent[2] == 4 and new.parent[3] == 2
         assert new.cost == [0.0, 5.0, 3.0, 3.5, 1.0]
+
+
+class TestDuplicateRule:
+    EPS = 0.01
+
+    @staticmethod
+    def _build():
+        # root 0 at the origin, 1 and 2 one step away, 3 below 1
+        tree = Tree(2)
+        tree.add(np.array([0.0, 0.0]), parent=-1, cost=0.0)
+        tree.add(np.array([1.0, 0.0]), parent=0, cost=1.0)
+        tree.add(np.array([0.0, 1.0]), parent=0, cost=1.0)
+        tree.add(np.array([1.0, 1.0]), parent=1, cost=2.0)
+        return tree
+
+    def _extend(self, q_new, near_id=2):
+        """(tree, new id, segment checks) of one rrt_star_extend on a fresh ``_build()`` tree."""
+        tree, checks = self._build(), []
+
+        def segment_free(i, q):
+            checks.append(i)
+            return True
+
+        params = PlannerParams(alpha=2.0, eps=self.EPS)
+        return tree, rrt_star_extend(tree, near_id, np.asarray(q_new), segment_free, params, gamma=100.0), checks
+
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_exact_twin_of_a_node_other_than_near_id_is_dropped(self, node):
+        want = self._build()
+        tree, new_id, checks = self._extend(want.config(node).copy())
+        assert new_id is None
+        assert checks == [2]  # near_id's, and no check after it
+        TestDelayedParentCheck._assert_same_tree(tree, want)
+
+    @pytest.mark.parametrize("scale, dropped", [(0.999, True), (1.001, False)])
+    def test_tolerance_is_duplicate_tol_times_eps(self, scale, dropped):
+        offset = scale * planner.DUPLICATE_TOL * self.EPS
+        tree, new_id, _ = self._extend([1.0, offset])  # node 1 plus offset
+        assert new_id == (None if dropped else 4)
+        assert len(tree) == (4 if dropped else 5)
 
 
 class TestDegenerateTasks:
@@ -550,6 +604,12 @@ def _seeds(tree):
     return [i for i, (parent, _) in enumerate(tree.added) if parent == -1]
 
 
+def _twins(tree, tol):
+    """Ids of the nodes that lie within ``tol`` of an earlier node of ``tree``."""
+    configs = tree.configs
+    return [i for i in range(1, len(tree)) if row_norms(configs[:i] - configs[i]).min() <= tol]
+
+
 class TestInvariants:
     @pytest.fixture
     def psm_run(self, recorded_trees):
@@ -621,6 +681,21 @@ class TestInvariants:
         rewires = [r for tree in psm_run[3] for r in tree.rewires]
         assert rewires
         assert all(after < before for _, before, after in rewires)
+
+    def test_no_node_duplicates_an_earlier_one(self, psm_run):
+        _, params, _, trees = psm_run
+        for tree in trees:
+            assert _twins(tree, planner.DUPLICATE_TOL * params.eps) == []
+
+    def test_no_node_duplicates_an_earlier_one_on_transport_a_mini(self, recorded_trees):
+        # the pick/carry intersection of phase 0 is a few isolated poses, which
+        # every projection onto it after the first lands on again
+        task = build_benchmark_scene("transport_a_mini")
+        params = bench.params_with_overrides(task, {"m": 60}, seed=1)
+        psm_star(task, params)
+        assert len(recorded_trees) == task.n_phases
+        for tree in recorded_trees:
+            assert _twins(tree, planner.DUPLICATE_TOL * params.eps) == []
 
     def test_extracted_path_validates(self, psm_run):
         task, params, path, _ = psm_run
