@@ -198,7 +198,7 @@ def read_path_csv(file_path):
         raise ValueError(f"path file {file_path} lacks its header row 'segment,q0,...'")
     header, body = rows[0], rows[1:]
     if not body:
-        raise ValueError("path file has no vertices")
+        raise ValueError(f"path file {file_path} has no vertices")
     segs, configs = [], []
     for k, r in enumerate(body, start=2):
         if len(r) != len(header):

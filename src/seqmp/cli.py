@@ -47,6 +47,8 @@ def cmd_plan(args):
 
 
 def cmd_sweep(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     task = bench.resolve_task(args.scene)
     base = bench.params_with_overrides(task, _load_overrides(args.params))
     values = _parse_values(args.values)

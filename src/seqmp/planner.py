@@ -1,11 +1,20 @@
 """Planners over a fixed sequence of constraint manifolds.
 
 The four planners share one core: ``_Run`` holds a run's set-up (start
-check, RNG, sampling bounds, RRT* gamma), ``_Run.extend`` is the one RRT*
-step every tree grows by (nearest -> steer -> in-bounds check -> residual
-<= eps on the nearest node's manifold -> ``rrt_star_extend``, which drops a
-q_new that duplicates a node of the tree), and ``_stitch`` builds every
-``SolutionPath``. A planner is a choice of policies on top of that core:
+check, RNG, sampling bounds, RRT* gamma) and its steer memo, ``_Run.extend``
+is the one RRT* step every tree grows by (nearest -> steer -> in-bounds
+check -> ``rrt_star_extend``), and ``_stitch`` builds every
+``SolutionPath``. An extend skips the work whose outcome is already fixed:
+
+- the steer memo keeps, per tree node, the steers that depend on the node
+  alone (a constraint steer of ``psm_steer`` and its projections, and
+  ``rrtstar-ik``'s step toward its IK goal), so a repeat costs no
+  projection; it lives in one ``_Run``, never across runs;
+- ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
+  before its first segment check, on the distance pass that also gives the
+  neighbours.
+
+A planner is a choice of policies on top of that core:
 
 - sampler: uniform, or biased toward a fixed IK goal (``rrtstar-ik``);
 - steer: ``psm_steer``, or one tangent step plus projection (``rrtstar-ik``);
@@ -73,6 +82,8 @@ class PlannerParams:
             raise ValueError("rho must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.max_project_iters < 1:
+            raise ValueError("max_project_iters must be >= 1")
         if self.gamma_rrt is not None and self.gamma_rrt <= 0:
             raise ValueError("gamma_rrt must be positive")
 
@@ -218,14 +229,19 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
 
     ``segment_free(a_id, q)`` checks the straight segment, and answers False
     for a node q may not be joined to. Returns the new node id, or None when
-    the initial segment collides or q_new duplicates a node: lies within
-    ``DUPLICATE_TOL * params.eps`` of ``near_id`` or of a neighbour.
+    q_new duplicates a node (lies within ``DUPLICATE_TOL * params.eps`` of
+    one) or the initial segment collides.
 
-    The distances from q_new to the neighbours and ``near_id`` and the costs
-    through them come from one batched pass, made after the first segment
-    check. A duplicate is dropped on that pass, before any parent search,
-    insertion or rewiring. A node that close is always ``near_id`` or a
-    neighbour: the rewiring radius is far larger. The parent search checks
+    One distance pass over the tree (``Tree._distances``) gives both the
+    duplicate test and the neighbours. The duplicate test comes first, so a
+    twin is dropped with no segment check at all: the nodes within
+    ``2 * DUPLICATE_TOL * params.eps`` on that pass are measured again by
+    ``row_norms``, the exact rule. A node that close is ``near_id`` or a
+    neighbour whenever the rewiring radius is at least that filter (it is
+    far larger; with one node, near_id is the only one), so a twin returns
+    None in exactly the cases it would after the first segment check. The
+    distances to the neighbours and ``near_id`` and the costs through them
+    then come from one batched ``row_norms`` pass. The parent search checks
     collisions lazily, as OMPL's RRTstar does: the neighbours that would beat
     ``near_id`` are tried in order of (cost through them, id), and the first
     free one is the parent: the cheapest free neighbour, lowest id on ties,
@@ -234,14 +250,17 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
     that q_new makes cheaper.
     """
     q_new = np.asarray(q_new, dtype=float)
+    tol = DUPLICATE_TOL * params.eps
+    to_nodes = tree._distances(q_new)
+    close = (to_nodes <= 2.0 * tol).nonzero()[0]
+    if close.size and row_norms(q_new - tree.configs[close]).min() <= tol:
+        return None
     if not segment_free(near_id, q_new):
         return None
     radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
-    neighbors = tree.near(q_new, radius)
+    neighbors = (to_nodes <= radius).nonzero()[0].tolist() if radius > 0 else []
     ids = neighbors + [near_id]
     dist = row_norms(q_new - tree.configs[ids])
-    if dist.min() <= DUPLICATE_TOL * params.eps:
-        return None
     cost = np.fromiter(map(tree.cost.__getitem__, ids), dtype=float, count=len(ids))
     via = cost + dist  # cost of q_new through each node; near_id's is last
     nbr = np.array(neighbors, dtype=np.intp)
@@ -288,6 +307,7 @@ class _Run:
         self.lo, self.span = lo, hi - lo
         self.bounds = bounds.tolist()  # (lo, hi) pairs of floats, as _in_bounds takes them
         self.gamma = params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
+        self.memos = {}  # (tree, node id) -> the memo dict the steer policy keeps for that node
 
     def uniform(self):
         # the doubles and the RNG stream of rng.uniform(lo, hi), without its overhead
@@ -296,9 +316,13 @@ class _Run:
     def extend(self, tree, q_rand, steer, segment_free, label=None):
         """Extend ``tree`` toward ``q_rand`` on the manifold of its nearest node.
 
-        ``steer(q_near, q_rand, m_i, m_next)`` proposes ``q_new``; one outside
-        the bounds or off ``m_i`` by more than eps is dropped, the rest goes
-        to ``rrt_star_extend``. ``label(i, q_new)`` gives the new node's
+        ``steer(q_near, q_rand, m_i, m_next, memo)`` proposes ``q_new``;
+        ``memo`` is the dict this run keeps for the nearest node, where the
+        steer stores the steps that depend on that node alone. A ``q_new``
+        outside the bounds is dropped and the rest goes to
+        ``rrt_star_extend``. Every steer projects onto ``m_i``, or onto an
+        intersection whose first rows are ``m_i``'s, so ``q_new`` already lies
+        on ``m_i`` to eps. ``label(i, q_new)`` gives the new node's
         ``(phase, on)`` (default ``(i, ())``), and ``segment_free(a_id, q,
         on)`` checks the segment from node ``a_id`` to it. Returns the new
         node id, or None for a dropped sample, including a ``q_new`` that
@@ -307,10 +331,11 @@ class _Run:
         near_id = tree.nearest(q_rand)
         i = tree.phase[near_id]
         m_i, m_next = self.task.manifolds[i], self.task.manifolds[i + 1]
-        q_new = steer(tree.config(near_id), q_rand, m_i, m_next)
+        memo = self.memos.get((tree, near_id)) or {}
+        q_new = steer(tree.config(near_id), q_rand, m_i, m_next, memo)
+        if memo:  # most nodes never store a steer: keep no empty memo for them
+            self.memos[tree, near_id] = memo
         if q_new is None or not _in_bounds(q_new, self.bounds):
-            return None
-        if norm(evaluate(m_i, q_new)) > self.params.eps:
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
         return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
@@ -319,7 +344,8 @@ class _Run:
 
 def _psm_steering(run):
     """Steer policy of the PSM* planners: ``psm_steer`` with the run's RNG."""
-    return lambda q_near, q_rand, m_i, m_next: psm_steer(run.params, q_near, q_rand, m_i, m_next, run.rng)
+    return lambda q_near, q_rand, m_i, m_next, memo: psm_steer(run.params, q_near, q_rand, m_i, m_next,
+                                                               run.rng, memo)
 
 
 def _segment_free_in(task, tree, fs):
@@ -467,12 +493,21 @@ def rrt_star_ik(task, params):
     then run goal-directed RRT* on the current manifold toward it."""
     run = _Run(task, params)
 
-    def steer(q_near, q_rand, m_i, m_next):  # a tangent step of at most alpha, projected back onto m_i
-        d = steer_point(q_near, q_rand, m_i)
+    def tangent_step(q_near, q_target, m_i):  # a tangent step of at most alpha, projected back onto m_i
+        d = steer_point(q_near, q_target, m_i)
         nd = norm(d)
         if nd < ZERO_DIRECTION_TOL:
             return None
         return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps, params.max_project_iters)
+
+    def steer(q_near, q_rand, m_i, m_next, memo):
+        # the step toward this phase's IK goal depends on the node alone; each
+        # phase grows a new tree and clears the memos, so none outlives its goal
+        if q_rand is not goal:
+            return tangent_step(q_near, q_rand, m_i)
+        if "goal" not in memo:
+            memo["goal"] = tangent_step(q_near, goal, m_i)
+        return memo["goal"]
 
     fs = task.free_space
     q_seg_start = task.start()
@@ -486,6 +521,7 @@ def rrt_star_ik(task, params):
         else:
             raise PlanningFailure(phase=i, message=f"IK goal generation failed in phase {i}")
 
+        run.memos.clear()  # they hold the last phase's tree and steps toward its goal
         tree = Tree(task.ambient_dim)
         tree.add(q_seg_start, parent=-1, cost=0.0, phase=i)
         segment_free = _segment_free_in(task, tree, fs)

@@ -4,7 +4,9 @@ Two strategies: steer toward a sampled target while staying tangent to the
 current manifold, or steer toward the intersection with the next manifold
 by descending its residual inside the current tangent space. The dispatcher
 takes a fixed-length step and projects either back onto the current
-manifold or onto the intersection, with a randomized closeness threshold.
+manifold or onto the intersection, with a randomized closeness threshold;
+its constraint steps, which depend on the tree node alone, are memoised per
+node by the planner run.
 """
 from __future__ import annotations
 
@@ -45,7 +47,17 @@ def steer_constraint(q_near, m_i, m_next):
     return B @ z
 
 
-def psm_steer(params, q_near, q_rand, m_i, m_next, rng):
+def _alpha_step(params, q_near, d, m_next):
+    """The configuration ``alpha`` from q_near along d, with its m_next
+    residual; None when d is (numerically) zero."""
+    d_norm = norm(d)
+    if d_norm < ZERO_DIRECTION_TOL:
+        return None
+    q_new = q_near + params.alpha * d / d_norm
+    return q_new, norm(evaluate(m_next, q_new))
+
+
+def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     """One steering attempt from a tree node on m_i, with the ``alpha``,
     ``beta``, ``r``, ``eps`` and ``max_project_iters`` of ``params`` (a
     ``PlannerParams``).
@@ -56,18 +68,28 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng):
     Uniform(0, r) draw, else back onto m_i, to eps. Returns the projected
     configuration or None (sample discarded). Both RNG draws are always
     consumed so that seed streams stay reproducible.
+
+    A constraint step depends on q_near, m_i and m_next alone, and its
+    projection only on which of the two targets the draw picks. ``memo`` is
+    the dict a planner run keeps for the node q_near (a fresh one when None):
+    it holds the step with its m_next residual under ``"step"`` and each
+    projection made of it under ``onto_next`` (True: onto m_i ∩ m_next), so
+    a repeated constraint steer from one node costs only the two draws.
     """
     q_near = np.asarray(q_near, dtype=float)
     use_constraint = rng.random() < params.beta
     threshold = rng.uniform(0.0, params.r)
-    if use_constraint:
-        d = steer_constraint(q_near, m_i, m_next)
-    else:
-        d = steer_point(q_near, q_rand, m_i)
-    d_norm = norm(d)
-    if d_norm < ZERO_DIRECTION_TOL:
+    if not use_constraint:  # a point steer depends on q_rand: its memo lasts one call
+        memo = {"step": _alpha_step(params, q_near, steer_point(q_near, q_rand, m_i), m_next)}
+    elif memo is None:
+        memo = {}
+    if "step" not in memo:
+        memo["step"] = _alpha_step(params, q_near, steer_constraint(q_near, m_i, m_next), m_next)
+    step = memo["step"]
+    if step is None:
         return None
-    q_new = q_near + params.alpha * d / d_norm
-    if norm(evaluate(m_next, q_new)) < threshold:
-        return project(q_new, Intersection(m_i, m_next), params.eps, params.max_project_iters)
-    return project(q_new, m_i, params.eps, params.max_project_iters)
+    onto_next = step[1] < threshold
+    if onto_next not in memo:
+        m = Intersection(m_i, m_next) if onto_next else m_i
+        memo[onto_next] = project(step[0], m, params.eps, params.max_project_iters)
+    return memo[onto_next]

@@ -255,6 +255,7 @@ class TestCli:
          "path file {f}: row 3 has a field that is not a number (invalid literal for int() with base 10: 'x')"),
         ("segment,q0,q1,q2\n0,3.5,3.5,4.45\n0,3.5,a,4.45\n",
          "path file {f}: row 3 has a field that is not a number (could not convert string to float: 'a')"),
+        ("segment,q0,q1,q2\n", "path file {f} has no vertices"),
     ])
     def test_validate_malformed_path_file_exits_2(self, tmp_path, capsys, text, message):
         f = tmp_path / "path.csv"
@@ -286,6 +287,13 @@ class TestCli:
                    "--jobs", "0", "--params", self._params_file(tmp_path, m=100)])
         assert rc == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [0, -3])
+    def test_sweep_with_seeds_below_one_exits_2(self, tmp_path, capsys, seeds):
+        rc = main(["sweep", "--scene", "point3d_free", "--param", "m", "--values", "100",
+                   "--seeds", str(seeds), "--params", self._params_file(tmp_path, m=100)])
+        assert rc == 2
+        assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
 
     def test_export_scene_round_trip_via_cli(self, tmp_path, capsys):
         f = tmp_path / "scene.json"
@@ -430,13 +438,14 @@ def test_malformed_scene_rejected_by_loader(case):
 
 
 @pytest.mark.parametrize("override", [{"eps": float("nan")}, {"alpha": -1.0}, {"r": 0.0},
-                                      {"alpha": "x"}, {"m": True}])
+                                      {"alpha": "x"}, {"m": True}, {"max_project_iters": 0}])
 def test_plan_with_bad_params_exits_2(override, tmp_path, capsys):
     f = tmp_path / "params.json"
     f.write_text(json.dumps(override))
     rc = main(["plan", "--scene", "point3d_free", "--planner", "psm", "--params", str(f)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(override)) in err
 
 
 @pytest.mark.parametrize("planner", sorted(PLANNERS))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from seqmp import bench
 from seqmp import kinematics as kin
-from seqmp import planner
+from seqmp import planner, steering
 from seqmp.manifolds import AffinePlane, PointGoal, evaluate
 from seqmp.planner import (
     PlannerParams,
@@ -326,13 +326,15 @@ def _duplicates_a_node(tree, near_id, q_new, neighbors, params):
 
 
 def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
-    """rrt_star_extend as one loop per neighbour, each distance a scalar np.linalg.norm."""
+    """rrt_star_extend as one loop per neighbour, each distance a scalar np.linalg.norm.
+
+    A duplicate is dropped before the first segment check."""
     q_new = np.asarray(q_new, dtype=float)
-    if not segment_free(near_id, q_new):
-        return None
     radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = tree.near(q_new, radius)
     if _duplicates_a_node(tree, near_id, q_new, neighbors, params):
+        return None
+    if not segment_free(near_id, q_new):
         return None
     q_min = near_id
     c_min = tree.cost[near_id] + float(np.linalg.norm(q_new - tree.config(near_id)))
@@ -421,9 +423,9 @@ class TestDelayedParentCheck:
 
         duplicate = _duplicates_a_node(tree, near_id, q_new, neighbors, params)
         new_id = rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma)
-        if duplicate:  # q_new is a node again: dropped after near_id's check, before the parent search
+        if duplicate:  # q_new is a node again: dropped before any segment check
             assert new_id is None and len(tree) == n
-            assert parent_checks == [near_id]
+            assert parent_checks == []
             return
         assert tree.parent[new_id] == want
         assert tree.cost[new_id] == c_best
@@ -518,7 +520,7 @@ class TestDuplicateRule:
         want = self._build()
         tree, new_id, checks = self._extend(want.config(node).copy())
         assert new_id is None
-        assert checks == [2]  # near_id's, and no check after it
+        assert checks == []  # not even near_id's
         TestDelayedParentCheck._assert_same_tree(tree, want)
 
     @pytest.mark.parametrize("scale, dropped", [(0.999, True), (1.001, False)])
@@ -527,6 +529,60 @@ class TestDuplicateRule:
         tree, new_id, _ = self._extend([1.0, offset])  # node 1 plus offset
         assert new_id == (None if dropped else 4)
         assert len(tree) == (4 if dropped else 5)
+
+
+    def test_twin_is_dropped_before_any_segment_check(self):
+        # the first segment of this twin would collide: it is dropped all the same, with no check
+        tree, checks = self._build(), []
+
+        def blocked(i, q):
+            checks.append(i)
+            return False
+
+        params = PlannerParams(alpha=2.0, eps=self.EPS)
+        assert rrt_star_extend(tree, 2, tree.config(1).copy(), blocked, params, gamma=100.0) is None
+        assert checks == []
+
+
+class TestSteerMemo:
+    def test_each_tree_node_has_its_own_memo(self):
+        # two trees with the same root: node 0 of each gets a memo of its own,
+        # kept across extends once the steer has stored a step in it
+        run = planner._Run(line_point_task(), SMALL)
+        trees = [Tree(2), Tree(2)]
+        for tree in trees:
+            tree.add(np.zeros(2), parent=-1, cost=0.0)
+        seen = []
+
+        def steer(q_near, q_rand, m_i, m_next, memo):
+            seen.append(memo)
+            memo["step"] = None
+            return None
+
+        for tree in trees + trees:
+            run.extend(tree, np.array([1.0, 0.0]), steer, lambda a_id, q, on: True)
+        assert seen[0] is seen[2] and seen[1] is seen[3] and seen[0] is not seen[1]
+
+    def test_ik_goal_steer_is_memoised_per_node_and_phase(self, monkeypatch, recorded_trees):
+        # a node steers toward its phase's IK goal once; each phase grows a new
+        # tree, so no step toward an earlier phase's goal reaches a later tree.
+        # Every sample is the goal, so the first extend of each phase steers its root
+        monkeypatch.setattr(planner, "IK_GOAL_BIAS", 1.0)
+        calls = []
+
+        def recorder(q_near, q_rand, m):
+            calls.append((np.asarray(q_near).tobytes(), np.asarray(q_rand).tobytes()))
+            return steering.steer_point(q_near, q_rand, m)
+
+        monkeypatch.setattr(planner, "steer_point", recorder)
+        task = two_segment_task()
+        path = rrt_star_ik(task, SMALL)
+        goals = [path.configs[b] for b in path.segment_bounds] + [path.configs[-1]]
+        assert len(recorded_trees) == len(goals) == 2
+        for phase, (tree, goal) in enumerate(zip(recorded_trees, goals)):
+            toward = [q for q, target in calls if target == goal.tobytes()]
+            assert toward and len(toward) == len(set(toward))
+            assert all(np.linalg.norm(evaluate(task.manifolds[phase], q)) <= SMALL.eps for q in tree.configs)
 
 
 class TestDegenerateTasks:
@@ -798,6 +854,11 @@ class TestPlannerParamsValidation:
     def test_rejects_non_integer(self, name, value):
         with pytest.raises(ValueError, match=name):
             PlannerParams(**{name: value})
+
+    @given(value=st.integers(max_value=0))
+    def test_rejects_max_project_iters_below_one(self, value):
+        with pytest.raises(ValueError, match="max_project_iters must be >= 1"):
+            PlannerParams(max_project_iters=value)
 
     @given(alpha=st.floats(1e-6, 1e6), r=st.floats(1e-6, 1e6), rho=st.floats(0.0, 1e6))
     def test_accepts_finite_in_range(self, alpha, r, rho):

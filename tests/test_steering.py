@@ -191,3 +191,58 @@ class TestPsmSteer:
             rng_b.random()
             rng_b.uniform(0.0, params.r)
         assert rng_a.random() == rng_b.random()
+
+
+def _memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, rng):
+    """psm_steer without a memo, as one expression per step; returns (q, constraint steer?, onto m_i ∩ m_next?)."""
+    use_constraint = rng.random() < params.beta
+    threshold = rng.uniform(0.0, params.r)
+    d = steer_constraint(q_near, m_i, m_next) if use_constraint else steer_point(q_near, q_rand, m_i)
+    d_norm = np.linalg.norm(d)
+    if d_norm < steering.ZERO_DIRECTION_TOL:
+        return None, use_constraint, None
+    q_new = q_near + params.alpha * d / d_norm
+    onto_next = bool(np.linalg.norm(evaluate(m_next, q_new)) < threshold)
+    target = Intersection(m_i, m_next) if onto_next else m_i
+    return project(q_new, target, params.eps, params.max_project_iters), use_constraint, onto_next
+
+
+class TestSteerMemo:
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_repeated_constraint_steer_is_memoised(self, monkeypatch, beta):
+        # r spans the step's m_next residual, so the draw picks both targets
+        m_i, m_next = Paraboloid(0.1, 2.0), Cylinder(0.25, 1.0)
+        params = PlannerParams(alpha=1.0, beta=beta, r=40.0, eps=0.01)
+        q_near = project(np.array([3.5, 3.5, 4.45]), m_i, eps=1e-9)
+        targets = np.random.default_rng(4).uniform(-6, 6, (60, 3))
+        ref_rng = np.random.default_rng(8)
+        want = [_memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, ref_rng) for q_rand in targets]
+        constraint_targets = {onto for _, constraint, onto in want if constraint}
+        assert constraint_targets == {False, True}
+        point_steers = sum(not constraint for _, constraint, _ in want)
+
+        constraint_steers = record_calls(monkeypatch, "steer_constraint")
+        projections = record_calls(monkeypatch, "project")
+        rng, memo = np.random.default_rng(8), {}
+        for q_rand, (q_want, _, _) in zip(targets, want):
+            q = psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo)
+            assert (q is None and q_want is None) or q.tobytes() == q_want.tobytes()
+        # one constraint step and one projection per target; every point steer projects
+        assert len(constraint_steers) == 1
+        assert len(projections) == point_steers + 2
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_memo_hit_does_not_project(self, monkeypatch):
+        params = PlannerParams(alpha=0.5, beta=1.0, r=1.5, eps=1e-9)
+        memo = {}
+        first = psm_steer(params, (0.0, 0.0, 0.0), (9.0, 9.0, 9.0), PLANE_Z, PLANE_X1,
+                          np.random.default_rng(0), memo)
+
+        def no_projection(*args):
+            raise AssertionError("a memoised constraint steer projected again")
+
+        monkeypatch.setattr(steering, "project", no_projection)
+        monkeypatch.setattr(steering, "steer_constraint", no_projection)
+        again = psm_steer(params, (0.0, 0.0, 0.0), (-9.0, 0.0, 0.0), PLANE_Z, PLANE_X1,
+                          np.random.default_rng(0), memo)
+        assert again is first
