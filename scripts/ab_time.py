@@ -16,8 +16,11 @@ summed wall time (median and quartiles), the median new/old ratio of each
 planner's summed wall time per repetition, each side's success count and
 mean path cost over the jobs, and checks that both sides return the same path
 digest for every job; exits 1 if any digest differs. For each job whose digest
-differs it prints both path costs and their difference, so a change that moves
-paths only in the last bits reads as a cost difference at rounding level.
+differs it prints both path costs and their difference, both vertex counts,
+and the largest coordinate difference of the two paths when their vertex
+counts match. A change that moves paths only in the last bits then reads as
+equal counts with a difference at rounding level; a structural move (another
+vertex count, or a large difference) stands out.
 
 This is for sizing a change only. It skips what the benchmark does to make
 timings comparable across runs (a fresh process per run, the speed probe,
@@ -36,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+import numpy as np  # noqa: E402
 from workloads import WORKLOADS, Workload, job_groups  # noqa: E402
 from worker import digest, run_job  # noqa: E402
 
@@ -51,8 +55,18 @@ def load_bench(root, name):
     return importlib.import_module(f"{name}.bench")
 
 
-def _cost(cost):
-    return "-" if cost is None else f"{cost:.17g}"
+def _describe(side, path):
+    return f"{side} no path" if path is None else f"{side} cost {path.total_cost:.17g}, {len(path.configs)} vertices"
+
+
+def _path_change(old, new):
+    """Both sides' cost and vertex count for one job, and how far their paths lie apart."""
+    text = f"{_describe('old', old)}; {_describe('new', new)}"
+    if old is not None and new is not None:
+        text += f"; new-old cost {new.total_cost - old.total_cost:.3g}"
+        if old.configs.shape == new.configs.shape:
+            text += f"; largest coordinate difference {np.abs(new.configs - old.configs).max():.3g}"
+    return text
 
 
 def main():
@@ -94,7 +108,7 @@ def main():
 
     ratios, mismatches = [], set()
     planner_ratios = {planner: [] for planner in workload.planners}
-    costs = ({}, {})  # per side: job -> path cost, None for no path
+    paths = ({}, {})  # per side: job -> path, None for no path
     for rep in range(args.reps):
         wall = [0.0, 0.0]
         planner_wall = {planner: [0.0, 0.0] for planner in workload.planners}
@@ -107,7 +121,7 @@ def main():
                 wall[s] += seconds
                 planner_wall[planner][s] += seconds
                 digests[s] = digest(path)
-                costs[s][planner, seed] = None if path is None else path.total_cost
+                paths[s][planner, seed] = path
             if digests[0] != digests[1]:
                 mismatches.add((planner, seed))
         ratios.append(wall[1] / wall[0])
@@ -120,14 +134,13 @@ def main():
           f"(quartiles {q1:.3f}-{q3:.3f})")
     for planner, planner_ratio in planner_ratios.items():
         print(f"  {planner}: new/old median {statistics.median(planner_ratio):.3f}")
-    for side, side_costs in zip(("old", "new"), costs):
-        found = [c for c in side_costs.values() if c is not None]
+    for side, side_paths in zip(("old", "new"), paths):
+        found = [p.total_cost for p in side_paths.values() if p is not None]
         mean = f"{statistics.fmean(found):.6f}" if found else "-"
-        print(f"{side}: success {len(found)}/{len(side_costs)} jobs, mean cost {mean}")
-    for planner, seed in sorted(mismatches):
-        old, new = costs[0][planner, seed], costs[1][planner, seed]
-        delta = "-" if old is None or new is None else f"{new - old:.3g}"
-        print(f"DIGEST DIFFERS: {planner} seed {seed}: cost old {_cost(old)} new {_cost(new)} new-old {delta}")
+        print(f"{side}: success {len(found)}/{len(side_paths)} jobs, mean cost {mean}")
+    for job in sorted(mismatches):
+        old, new = paths[0][job], paths[1][job]
+        print(f"DIGEST DIFFERS: {job[0]} seed {job[1]}: {_path_change(old, new)}")
     print(f"digests: {len(jobs) - len(mismatches)}/{len(jobs)} jobs equal")
     return 1 if mismatches else 0
 

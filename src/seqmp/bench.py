@@ -136,14 +136,18 @@ def aggregate(records):
 def sweep(scene, planner, param_name, values, seeds, base_params=None, jobs=1):
     """Vary one planner parameter over a grid; each grid point runs all seeds.
 
-    Returns a list of dicts: {value, aggregate, records}.
+    Returns a list of dicts: {value, aggregate, records}. Values of ``m``
+    must be whole numbers; each is run as an int.
     """
+    if param_name == "m":
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"m values must be whole numbers, got {value!r}")
+        values = [int(value) for value in values]
     task = resolve_task(scene)
     base = base_params if base_params is not None else default_params(task)
     results = []
     for value in values:
-        if param_name == "m":
-            value = int(value)
         params = replace(base, **{param_name: value})
         records = batch(task, planner, seeds, params=params, jobs=jobs)
         results.append({"value": value, "aggregate": aggregate(records), "records": records})

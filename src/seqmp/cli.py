@@ -52,6 +52,8 @@ def cmd_sweep(args):
     task = bench.resolve_task(args.scene)
     base = bench.params_with_overrides(task, _load_overrides(args.params))
     values = _parse_values(args.values)
+    if not values:
+        raise ValueError(f"--values must name at least one value, got {args.values!r}")
     seeds = list(range(args.seeds))
     results = bench.sweep(args.scene, args.planner, args.param, values, seeds,
                           base_params=base, jobs=args.jobs)

@@ -6,10 +6,12 @@ is the one RRT* step every tree grows by (nearest -> steer -> in-bounds
 check -> ``rrt_star_extend``), and ``_stitch`` builds every
 ``SolutionPath``. An extend skips the work whose outcome is already fixed:
 
-- the steer memo keeps, per tree node, the steers that depend on the node
-  alone (a constraint steer of ``psm_steer`` and its projections, and
-  ``rrtstar-ik``'s step toward its IK goal), so a repeat costs no
-  projection; it lives in one ``_Run``, never across runs;
+- the steer memo keeps, per tree node, what its steers compute from the
+  node alone: for ``psm_steer`` the tangent basis on a manifold with two
+  or more rows, the constraint step, and on a curve the steps along +b and
+  -b that every steer there takes, each step with its projections; for
+  ``rrtstar-ik`` the step toward its IK goal. A repeat costs no
+  projection; the memo lives in one ``_Run``, never across runs;
 - ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
   before its first segment check, on the distance pass that also gives the
   neighbours.
@@ -318,7 +320,8 @@ class _Run:
 
         ``steer(q_near, q_rand, m_i, m_next, memo)`` proposes ``q_new``;
         ``memo`` is the dict this run keeps for the nearest node, where the
-        steer stores the steps that depend on that node alone. A ``q_new``
+        steer stores what it computes from that node alone (steps, their
+        projections, a tangent basis). A ``q_new``
         outside the bounds is dropped and the rest goes to
         ``rrt_star_extend``. Every steer projects onto ``m_i``, or onto an
         intersection whose first rows are ``m_i``'s, so ``q_new`` already lies
@@ -333,7 +336,7 @@ class _Run:
         m_i, m_next = self.task.manifolds[i], self.task.manifolds[i + 1]
         memo = self.memos.get((tree, near_id)) or {}
         q_new = steer(tree.config(near_id), q_rand, m_i, m_next, memo)
-        if memo:  # most nodes never store a steer: keep no empty memo for them
+        if memo:  # a node on a one-row manifold that only point-steered stores nothing
             self.memos[tree, near_id] = memo
         if q_new is None or not _in_bounds(q_new, self.bounds):
             return None

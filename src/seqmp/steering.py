@@ -4,9 +4,13 @@ Two strategies: steer toward a sampled target while staying tangent to the
 current manifold, or steer toward the intersection with the next manifold
 by descending its residual inside the current tangent space. The dispatcher
 takes a fixed-length step and projects either back onto the current
-manifold or onto the intersection, with a randomized closeness threshold;
-its constraint steps, which depend on the tree node alone, are memoised per
-node by the planner run.
+manifold or onto the intersection, with a randomized closeness threshold.
+
+What depends on the tree node alone is memoised per node by the planner
+run: the tangent basis of a manifold with two or more rows, the constraint
+step and each projection made of it. On a curve (a one-column basis b)
+every step goes along +b or -b, so a point steer and a constraint steer
+share at most two steps per node, each projected at most once per target.
 """
 from __future__ import annotations
 
@@ -17,28 +21,31 @@ from .manifolds import SV_TOL, Intersection, evaluate, norm, project, tangent_co
 ZERO_DIRECTION_TOL = 1e-12
 
 
-def steer_point(q_near, q_rand, m):
+def steer_point(q_near, q_rand, m, basis=None):
     """Orthogonal projection of (q_rand - q_near) onto the tangent space at q_near.
 
     A one-row constraint takes the closed form of ``tangent_component``;
-    more rows take B B^T d with the basis B of ``tangent_nullspace``.
+    more rows take B B^T d with ``basis``, the tangent basis B at q_near,
+    which defaults to the one ``tangent_nullspace`` computes.
     """
     q_near = np.asarray(q_near, dtype=float)
     d = np.asarray(q_rand, dtype=float) - q_near
     if m.codim == 1:
         return tangent_component(np.asarray(m.jacobian(q_near), dtype=float)[0], d)
-    B = tangent_nullspace(m, q_near)
+    B = tangent_nullspace(m, q_near) if basis is None else basis
     return B @ (B.T @ d)
 
 
-def steer_constraint(q_near, m_i, m_next):
+def steer_constraint(q_near, m_i, m_next, basis=None):
     """Descent direction toward the next manifold inside the tangent space of m_i.
 
     Solves min ||h_next + J_next d||^2 subject to J_i d = 0 via the tangent
-    basis of m_i; a rank-deficient system falls back to least squares.
+    basis B of m_i at q_near (``basis``, which defaults to the one
+    ``tangent_nullspace`` computes); a rank-deficient system falls back to
+    least squares.
     """
     q_near = np.asarray(q_near, dtype=float)
-    B = tangent_nullspace(m_i, q_near)
+    B = tangent_nullspace(m_i, q_near) if basis is None else basis
     if B.shape[1] == 0:
         return np.zeros_like(q_near)
     h_next = evaluate(m_next, q_near)
@@ -57,6 +64,14 @@ def _alpha_step(params, q_near, d, m_next):
     return q_new, norm(evaluate(m_next, q_new))
 
 
+def _side(b, d):
+    """1.0 or -1.0, the sign of b.d; None when |b.d| is (numerically) zero."""
+    dot = float(b @ d)
+    if abs(dot) < ZERO_DIRECTION_TOL:
+        return None
+    return 1.0 if dot > 0.0 else -1.0
+
+
 def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     """One steering attempt from a tree node on m_i, with the ``alpha``,
     ``beta``, ``r``, ``eps`` and ``max_project_iters`` of ``params`` (a
@@ -69,27 +84,52 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     configuration or None (sample discarded). Both RNG draws are always
     consumed so that seed streams stay reproducible.
 
-    A constraint step depends on q_near, m_i and m_next alone, and its
-    projection only on which of the two targets the draw picks. ``memo`` is
-    the dict a planner run keeps for the node q_near (a fresh one when None):
-    it holds the step with its m_next residual under ``"step"`` and each
-    projection made of it under ``onto_next`` (True: onto m_i ∩ m_next), so
-    a repeated constraint steer from one node costs only the two draws.
+    ``memo`` is the dict a planner run keeps for the node q_near (a fresh
+    one when None). It holds what depends on the node alone:
+
+    - ``"basis"``: the tangent basis B of m_i at q_near, when m_i has two or
+      more rows (one SVD per node, not one per steer);
+    - on a curve (B has one column b): a point steer goes along
+      ``sign(b.(q_rand - q_near)) b`` and a constraint steer along
+      ``sign(b.d) b``, d from ``steer_constraint``, whose sign is kept under
+      ``"side"``; a zero dot product returns None. Both kinds share the step
+      kept under its sign (1.0 or -1.0) with its m_next residual;
+    - off curves: the constraint step with its m_next residual under
+      ``"constraint"``; a point steer depends on q_rand and keeps nothing;
+    - each projection of a kept step under ``(step key, onto_next)``
+      (onto_next True: onto m_i ∩ m_next).
+
+    So every step kept is projected at most once per target: on a curve, at
+    most four projections per node over any number of steers.
     """
     q_near = np.asarray(q_near, dtype=float)
     use_constraint = rng.random() < params.beta
     threshold = rng.uniform(0.0, params.r)
-    if not use_constraint:  # a point steer depends on q_rand: its memo lasts one call
-        memo = {"step": _alpha_step(params, q_near, steer_point(q_near, q_rand, m_i), m_next)}
-    elif memo is None:
+    if memo is None:
         memo = {}
-    if "step" not in memo:
-        memo["step"] = _alpha_step(params, q_near, steer_constraint(q_near, m_i, m_next), m_next)
-    step = memo["step"]
+    if m_i.codim > 1 and "basis" not in memo:
+        memo["basis"] = tangent_nullspace(m_i, q_near)
+    B = memo.get("basis")
+    if B is not None and B.shape[1] == 1:  # a curve: every step goes along +b or -b
+        b = B[:, 0]
+        if use_constraint and "side" not in memo:
+            memo["side"] = _side(b, steer_constraint(q_near, m_i, m_next, B))
+        key = memo["side"] if use_constraint else _side(b, np.asarray(q_rand, dtype=float) - q_near)
+        if key is None:
+            return None
+        if key not in memo:
+            memo[key] = _alpha_step(params, q_near, key * b, m_next)
+    elif use_constraint:
+        key = "constraint"
+        if key not in memo:
+            memo[key] = _alpha_step(params, q_near, steer_constraint(q_near, m_i, m_next, B), m_next)
+    else:  # a point steer off a curve depends on q_rand: its step and projection last one call
+        key, memo = "point", {"point": _alpha_step(params, q_near, steer_point(q_near, q_rand, m_i, B), m_next)}
+    step = memo[key]
     if step is None:
         return None
     onto_next = step[1] < threshold
-    if onto_next not in memo:
+    if (key, onto_next) not in memo:
         m = Intersection(m_i, m_next) if onto_next else m_i
-        memo[onto_next] = project(step[0], m, params.eps, params.max_project_iters)
-    return memo[onto_next]
+        memo[key, onto_next] = project(step[0], m, params.eps, params.max_project_iters)
+    return memo[key, onto_next]

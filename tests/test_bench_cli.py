@@ -295,6 +295,23 @@ class TestCli:
         assert rc == 2
         assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_sweep_with_no_values_exits_2(self, tmp_path, capsys, values):
+        rc = main(["sweep", "--scene", "point3d_free", "--param", "m", "--values", values,
+                   "--seeds", "2", "--params", self._params_file(tmp_path, m=100)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert f"--values must name at least one value, got {values!r}" in out.err
+        assert out.out == ""
+
+    def test_sweep_with_a_fractional_m_exits_2(self, tmp_path, capsys, monkeypatch):
+        # no grid point runs, not even the whole value listed before the fraction
+        monkeypatch.setattr(bench, "batch", lambda *a, **k: pytest.fail("a grid point ran"))
+        rc = main(["sweep", "--scene", "point3d_free", "--param", "m", "--values", "100,2.7",
+                   "--seeds", "2", "--params", self._params_file(tmp_path, m=100)])
+        assert rc == 2
+        assert "m values must be whole numbers, got 2.7" in capsys.readouterr().err
+
     def test_export_scene_round_trip_via_cli(self, tmp_path, capsys):
         f = tmp_path / "scene.json"
         assert main(["export-scene", "point3d_obstacles", "--out", str(f)]) == 0

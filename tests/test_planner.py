@@ -1,4 +1,5 @@
 """Tree machinery, the four planners, and path extraction/validation."""
+import collections
 import dataclasses
 import functools
 import math
@@ -28,6 +29,7 @@ from seqmp.planner import (
 )
 from seqmp.scene import Task, build_benchmark_scene
 from sphere import Sphere
+from test_steering import record_calls
 
 RNG = np.random.default_rng(2718)
 FREE = lambda a, q: True
@@ -583,6 +585,26 @@ class TestSteerMemo:
             toward = [q for q, target in calls if target == goal.tobytes()]
             assert toward and len(toward) == len(set(toward))
             assert all(np.linalg.norm(evaluate(task.manifolds[phase], q)) <= SMALL.eps for q in tree.configs)
+
+    def test_no_phase_0_node_of_transport_a_mini_projects_more_than_four_times(self, monkeypatch):
+        # phase 0's pick manifold is a curve: every steer from a node goes along
+        # +b or -b, and each of those two steps is projected once per target
+        task = bench.resolve_task("transport_a_mini")
+        projections = record_calls(monkeypatch, "project")
+        per_node = collections.Counter()
+        psm_steer = planner.psm_steer
+
+        def recorder(params, q_near, q_rand, m_i, *rest):
+            before = len(projections)
+            q_new = psm_steer(params, q_near, q_rand, m_i, *rest)
+            if m_i is task.manifolds[0]:
+                per_node[np.asarray(q_near).tobytes()] += len(projections) - before
+            return q_new
+
+        monkeypatch.setattr(planner, "psm_steer", recorder)
+        psm_star(task, bench.params_with_overrides(task, {"m": 60}, seed=1))
+        assert len(per_node) > 1
+        assert max(per_node.values()) <= 4
 
 
 class TestDegenerateTasks:

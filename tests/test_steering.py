@@ -1,11 +1,16 @@
 """Steering directions and the projected steering dispatcher."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqmp import steering
+from seqmp import bench, steering
 from seqmp.manifolds import AffinePlane, Cylinder, Intersection, Paraboloid, evaluate, project, tangent_nullspace
 from seqmp.planner import PlannerParams
 from seqmp.steering import psm_steer, steer_constraint, steer_point
+from sphere import Sphere
 
 RNG = np.random.default_rng(99)
 
@@ -246,3 +251,94 @@ class TestSteerMemo:
         again = psm_steer(params, (0.0, 0.0, 0.0), (-9.0, 0.0, 0.0), PLANE_Z, PLANE_X1,
                           np.random.default_rng(0), memo)
         assert again is first
+
+
+# the 4-DOF arm of transport_a_mini: its pick manifold (3 rows) is a curve
+TRANSPORT_A = bench.resolve_task("transport_a_mini")
+PICK, CARRY = TRANSPORT_A.manifolds[:2]
+ARM_START = TRANSPORT_A.start()
+ARM_BOUNDS = TRANSPORT_A.bounds_array()
+
+
+class TestCurveSteer:
+    """On a curve every steer goes along +b or -b, b the unit tangent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(q_rands=st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in ARM_BOUNDS)), min_size=1, max_size=30),
+           beta=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_memo_free_steer_with_at_most_four_projections(self, q_rands, beta, seed):
+        params = PlannerParams(alpha=1.0, beta=beta, r=0.5, eps=1e-5)
+        ref_rng = np.random.default_rng(seed)
+        want = [_memo_free_psm_steer(params, ARM_START, np.array(q_rand), PICK, CARRY, ref_rng)[0]
+                for q_rand in q_rands]
+        with pytest.MonkeyPatch.context() as mp:
+            projections = record_calls(mp, "project")
+            constraint_steers = record_calls(mp, "steer_constraint")
+            rng, memo = np.random.default_rng(seed), {}
+            for q_rand, q_want in zip(q_rands, want):
+                q = psm_steer(params, ARM_START, np.array(q_rand), PICK, CARRY, rng, memo)
+                assert (q is None) == (q_want is None)
+                if q is not None:
+                    assert np.abs(q - q_want).max() <= 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # two signs x two targets, and one constraint steer per node
+        assert len(projections) <= 4
+        assert len({(q.tobytes(), type(m)) for q, m, *_ in projections}) == len(projections)
+        assert len(constraint_steers) <= 1
+
+    def test_point_and_constraint_steers_share_a_step(self, monkeypatch):
+        # the same seed gives both steers the same threshold draw, so the same target
+        params = PlannerParams(alpha=1.0, beta=1.0, r=0.5, eps=1e-5)
+        memo = {}
+        q_c = psm_steer(params, ARM_START, ARM_START, PICK, CARRY, np.random.default_rng(0), memo)
+        assert q_c is not None
+        (b,) = tangent_nullspace(PICK, ARM_START).T
+        toward = ARM_START + 3.0 * np.sign(b @ steer_constraint(ARM_START, PICK, CARRY)) * b
+        projections = record_calls(monkeypatch, "project")
+        q_p = psm_steer(dataclasses.replace(params, beta=0.0), ARM_START, toward, PICK, CARRY,
+                        np.random.default_rng(0), memo)
+        assert q_p is q_c and not projections
+
+    def test_q_rand_orthogonal_to_the_curve_returns_none(self, monkeypatch):
+        params = PlannerParams(alpha=1.0, beta=0.0, r=0.5, eps=1e-5)
+        (b,) = tangent_nullspace(PICK, ARM_START).T
+        projections = record_calls(monkeypatch, "project")
+        for v in RNG.normal(0.0, 1.0, (20, 4)):
+            normal = v - b * (b @ v)
+            assert abs(b @ normal) < steering.ZERO_DIRECTION_TOL
+            assert psm_steer(params, ARM_START, ARM_START + normal, PICK, CARRY, RNG, {}) is None
+        assert not projections
+
+    def test_zero_constraint_direction_returns_none(self, monkeypatch):
+        # the x axis of R^3 (two rows) already meets the plane x = 0 at the origin
+        line = AffinePlane([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0])
+        plane = AffinePlane([[1.0, 0.0, 0.0]], [0.0])
+        params = PlannerParams(alpha=0.5, beta=1.0, r=1.5, eps=1e-9)
+        constraint_steers = record_calls(monkeypatch, "steer_constraint")
+        projections = record_calls(monkeypatch, "project")
+        memo = {}
+        for _ in range(5):
+            assert psm_steer(params, np.zeros(3), (9.0, 9.0, 9.0), line, plane, RNG, memo) is None
+        assert len(constraint_steers) == 1 and not projections
+
+
+class TestTwoDimensionalTangentSpace:
+    def test_keeps_the_memo_free_bytes_with_one_basis_per_node(self, monkeypatch):
+        # a sphere cut by a hyperplane in R^4: two rows, a 2-D tangent space
+        m_i = Intersection(Sphere(2.0, dim=4), AffinePlane([[0.0, 0.0, 0.0, 1.0]], [0.5]))
+        m_next = AffinePlane([[1.0, 1.0, 0.0, 0.0]], [1.0])
+        params = PlannerParams(alpha=0.8, beta=0.5, r=3.0, eps=1e-9)
+        q_near = project(np.array([1.5, -1.0, 0.5, 0.5]), m_i, eps=1e-12)
+        assert tangent_nullspace(m_i, q_near).shape == (4, 2)
+        targets = np.random.default_rng(6).uniform(-3, 3, (60, 4))
+        ref_rng = np.random.default_rng(9)
+        want = [_memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, ref_rng) for q_rand in targets]
+        assert {onto for _, constraint, onto in want if constraint} == {False, True}
+
+        bases = record_calls(monkeypatch, "tangent_nullspace")
+        rng, memo = np.random.default_rng(9), {}
+        for q_rand, (q_want, _, _) in zip(targets, want):
+            q = psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo)
+            assert (q is None and q_want is None) or q.tobytes() == q_want.tobytes()
+        assert len(bases) == 1
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
