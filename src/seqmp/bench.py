@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,7 +19,7 @@ from .scene import build_benchmark_scene, load_task
 
 # planner parameter defaults per scene profile
 PROFILE_DEFAULTS = {
-    "point": PlannerParams(alpha=1.0, beta=0.1, eps=0.01, rho=0.1, r=1.5, m=1200),
+    "point": PlannerParams(),
     "robot": PlannerParams(alpha=1.0, beta=0.3, eps=1e-5, rho=0.5, r=0.5, m=2000),
 }
 
@@ -171,12 +170,6 @@ def write_records_csv(records, path):
             w.writerow([d[k] for k in RECORD_FIELDS])
 
 
-def write_records_jsonl(records, path):
-    with open(path, "w") as f:
-        for r in records:
-            f.write(json.dumps(r.to_dict()) + "\n")
-
-
 def write_path_csv(path_obj, file_path):
     """Path vertices as CSV: segment index, then one column per coordinate.
 
@@ -195,7 +188,11 @@ def write_path_csv(path_obj, file_path):
 
 
 def read_path_csv(file_path):
-    """Inverse of write_path_csv; returns a SolutionPath."""
+    """Inverse of write_path_csv; returns a SolutionPath.
+
+    The segment labels start at 0 and rise by one at each manifold change,
+    as write_path_csv writes them; any other label is an error naming its row.
+    """
     with open(file_path, newline="") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0][:1] != ["segment"]:
@@ -208,10 +205,15 @@ def read_path_csv(file_path):
         if len(r) != len(header):
             raise ValueError(f"path file {file_path}: row {k} has {len(r)} fields, its header {len(header)}")
         try:
-            segs.append(int(r[0]))
+            seg = int(r[0])
             configs.append([float(x) for x in r[1:]])
         except ValueError as err:
             raise ValueError(f"path file {file_path}: row {k} has a field that is not a number ({err})") from None
+        allowed = (segs[-1], segs[-1] + 1) if segs else (0,)
+        if seg not in allowed:
+            raise ValueError(f"path file {file_path}: row {k} has segment label {seg}, "
+                             f"expected {' or '.join(map(str, allowed))}")
+        segs.append(seg)
     configs = np.array(configs)
     bounds = [i - 1 for i in range(1, len(segs)) if segs[i] > segs[i - 1]]
     return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))

@@ -55,7 +55,7 @@ def cmd_sweep(args):
     if not values:
         raise ValueError(f"--values must name at least one value, got {args.values!r}")
     seeds = list(range(args.seeds))
-    results = bench.sweep(args.scene, args.planner, args.param, values, seeds,
+    results = bench.sweep(task, args.planner, args.param, values, seeds,
                           base_params=base, jobs=args.jobs)
     print(f"{args.param:>8}  success  mean_cost  std_cost")
     for res in results:

@@ -12,7 +12,7 @@ import numpy as np
 
 # singular values at or below SV_TOL times the largest count as zero
 SV_TOL = 1e-9
-DEFAULT_MAX_ITERS = 200
+MAX_PROJECT_ITERS = 200
 DIVERGENCE_PATIENCE = 10
 
 
@@ -107,26 +107,24 @@ def tangent_component(g, d):
     return d - g * ((g @ d) / gg)
 
 
-def project(q, m, eps, max_iters=DEFAULT_MAX_ITERS):
+def project(q, m, eps):
     """Newton-style projection of ``q`` onto the manifold ``m``.
 
     Iterates q <- q - s with s the minimum-norm solution of J(q) s = h(q)
     (``newton_step``: closed form for one row, least squares otherwise)
-    until ||h(q)|| <= eps. Returns the projected configuration, or
-    None when the iteration does not converge (the caller discards the
-    sample).
+    until ||h(q)|| <= eps, for at most ``MAX_PROJECT_ITERS`` steps. Returns
+    the projected configuration, or None when the iteration does not
+    converge (the caller discards the sample).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     q = np.array(q, dtype=float)
     res = evaluate(m, q)
     res_norm = norm(res)
     if res_norm <= eps:
         return q
     increases = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_PROJECT_ITERS):
         J = np.asarray(m.jacobian(q), dtype=float)
         try:
             step = newton_step(J, res)

@@ -1,17 +1,17 @@
 """Planners over a fixed sequence of constraint manifolds.
 
 The four planners share one core: ``_Run`` holds a run's set-up (start
-check, RNG, sampling bounds, RRT* gamma) and its steer memo, ``_Run.extend``
-is the one RRT* step every tree grows by (nearest -> steer -> in-bounds
-check -> ``rrt_star_extend``), and ``_stitch`` builds every
-``SolutionPath``. An extend skips the work whose outcome is already fixed:
+check, RNG, sampling bounds, RRT* gamma), ``_Run.extend`` is the one RRT*
+step every tree grows by (nearest -> steer -> in-bounds check ->
+``rrt_star_extend``), and ``_stitch`` builds every ``SolutionPath``. An
+extend skips the work whose outcome is already fixed:
 
-- the steer memo keeps, per tree node, what its steers compute from the
-  node alone: for ``psm_steer`` the tangent basis on a manifold with two
-  or more rows, the constraint step, and on a curve the steps along +b and
-  -b that every steer there takes, each step with its projections; for
-  ``rrtstar-ik`` the step toward its IK goal. A repeat costs no
-  projection; the memo lives in one ``_Run``, never across runs;
+- each tree keeps a steer memo per node (``Tree.memo``) of what its steers
+  compute from the node alone: for ``psm_steer`` the tangent basis on a
+  manifold with two or more rows, the constraint step, and on a curve the
+  steps along +b and -b that every steer there takes, each step with its
+  projections; for ``rrtstar-ik`` the step toward its IK goal. A repeat
+  costs no projection; the memos die with their tree;
 - ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
   before its first segment check, on the distance pass that also gives the
   neighbours.
@@ -55,20 +55,16 @@ class PlannerParams:
     rho: float = 0.1
     r: float = 1.5
     m: int = 1200
-    gamma_rrt: float = None  # defaults to 2 * span of the sampling bounds
     seed: int = 0
-    max_project_iters: int = 200
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "eps", "rho", "r", "gamma_rrt"):
+        for name in ("alpha", "beta", "eps", "rho", "r"):
             value = getattr(self, name)
-            if value is None and name == "gamma_rrt":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("m", "seed", "max_project_iters"):
+        for name in ("m", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -84,10 +80,6 @@ class PlannerParams:
             raise ValueError("rho must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.max_project_iters < 1:
-            raise ValueError("max_project_iters must be >= 1")
-        if self.gamma_rrt is not None and self.gamma_rrt <= 0:
-            raise ValueError("gamma_rrt must be positive")
 
 
 class PlanningFailure(Exception):
@@ -138,6 +130,7 @@ class Tree:
         self.children = []
         self.phase = []  # manifold index a node lives on
         self.on = []     # tuple of manifold indices the node satisfies
+        self.memo = []   # the steer memo dict of a node, None until a steer stores something
 
     def __len__(self):
         return len(self.parent)
@@ -161,6 +154,7 @@ class Tree:
         self.children.append([])
         self.phase.append(phase)
         self.on.append(tuple(on))
+        self.memo.append(None)
         if parent >= 0:
             self.children[parent].append(i)
         return i
@@ -298,7 +292,7 @@ class _Run:
 
     def __init__(self, task, params):
         res = norm(evaluate(task.manifolds[0], task.start()))
-        if res > params.eps:
+        if not res <= params.eps:  # a NaN residual fails too
             raise ValueError(f"start configuration violates the first constraint (residual {res:.3g})")
         self.task, self.params = task, params
         self.rng = np.random.default_rng(params.seed)
@@ -308,8 +302,7 @@ class _Run:
             raise ValueError(f"sampling bounds must be finite with lo <= hi, got {task.bounds!r}")
         self.lo, self.span = lo, hi - lo
         self.bounds = bounds.tolist()  # (lo, hi) pairs of floats, as _in_bounds takes them
-        self.gamma = params.gamma_rrt if params.gamma_rrt is not None else 2.0 * task.span()
-        self.memos = {}  # (tree, node id) -> the memo dict the steer policy keeps for that node
+        self.gamma = 2.0 * task.span()
 
     def uniform(self):
         # the doubles and the RNG stream of rng.uniform(lo, hi), without its overhead
@@ -319,7 +312,7 @@ class _Run:
         """Extend ``tree`` toward ``q_rand`` on the manifold of its nearest node.
 
         ``steer(q_near, q_rand, m_i, m_next, memo)`` proposes ``q_new``;
-        ``memo`` is the dict this run keeps for the nearest node, where the
+        ``memo`` is the dict the tree keeps for the nearest node, where the
         steer stores what it computes from that node alone (steps, their
         projections, a tangent basis). A ``q_new``
         outside the bounds is dropped and the rest goes to
@@ -334,10 +327,10 @@ class _Run:
         near_id = tree.nearest(q_rand)
         i = tree.phase[near_id]
         m_i, m_next = self.task.manifolds[i], self.task.manifolds[i + 1]
-        memo = self.memos.get((tree, near_id)) or {}
+        memo = tree.memo[near_id] or {}
         q_new = steer(tree.config(near_id), q_rand, m_i, m_next, memo)
         if memo:  # a node on a one-row manifold that only point-steered stores nothing
-            self.memos[tree, near_id] = memo
+            tree.memo[near_id] = memo
         if q_new is None or not _in_bounds(q_new, self.bounds):
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
@@ -501,11 +494,11 @@ def rrt_star_ik(task, params):
         nd = norm(d)
         if nd < ZERO_DIRECTION_TOL:
             return None
-        return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps, params.max_project_iters)
+        return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps)
 
     def steer(q_near, q_rand, m_i, m_next, memo):
         # the step toward this phase's IK goal depends on the node alone; each
-        # phase grows a new tree and clears the memos, so none outlives its goal
+        # phase grows a new tree, whose memos die with it, so none outlives its goal
         if q_rand is not goal:
             return tangent_step(q_near, q_rand, m_i)
         if "goal" not in memo:
@@ -518,13 +511,12 @@ def rrt_star_ik(task, params):
     for i in range(task.n_phases):
         inter = Intersection(task.manifolds[i], task.manifolds[i + 1])
         for _ in range(IK_RETRIES):
-            goal = project(run.uniform(), inter, params.eps, params.max_project_iters)
+            goal = project(run.uniform(), inter, params.eps)
             if goal is not None and _in_bounds(goal, run.bounds) and task.config_free(goal, fs):
                 break
         else:
             raise PlanningFailure(phase=i, message=f"IK goal generation failed in phase {i}")
 
-        run.memos.clear()  # they hold the last phase's tree and steps toward its goal
         tree = Tree(task.ambient_dim)
         tree.add(q_seg_start, parent=-1, cost=0.0, phase=i)
         segment_free = _segment_free_in(task, tree, fs)

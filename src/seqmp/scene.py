@@ -136,7 +136,8 @@ def apply_transition(fs, rule, q_end, system=None):
                 rec = AttachmentRecord(obj, body, tuple(ob.center() - anchor), tuple(ob.half_extents()))
                 rest = tuple(o for o in fs.obstacles if o.name != obj)
                 return FreeSpaceState(obstacles=rest, attachments=fs.attachments + (rec,))
-        raise ValueError(f"unknown object id {obj!r}")
+        raise ValueError(f"attach names object {obj!r}, which is neither an obstacle nor attached "
+                         f"at phase {rule.trigger}")
     if kind == "detach":
         obj = effect["object"]
         for rec in fs.attachments:
@@ -146,7 +147,7 @@ def apply_transition(fs, rule, q_end, system=None):
                 box = ObstacleAABB(tuple(center - half), tuple(center + half), name=obj)
                 rest = tuple(a for a in fs.attachments if a.object_id != obj)
                 return FreeSpaceState(obstacles=fs.obstacles + (box,), attachments=rest)
-        raise ValueError(f"object {obj!r} is not attached")
+        raise ValueError(f"detach names object {obj!r}, which is not attached at phase {rule.trigger}")
     raise ValueError(f"unknown transition effect {kind!r}")
 
 
@@ -374,10 +375,12 @@ def _is_finite_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_transitions(transitions, n_phases, obstacles):
-    """Each trigger is a distinct phase index, and replaying the effects in
-    trigger order attaches only obstacles or attached objects and detaches
-    only attached ones, as ``apply_transition`` will at plan time."""
+def _check_transitions(transitions, n_phases, obstacles, start, system):
+    """Each trigger is a distinct phase index, and ``apply_transition``, which
+    the planners apply the rules with, accepts every effect when the rules
+    are replayed in trigger order from the scene's obstacles. The replay runs
+    at the start configuration: the configuration moves where an object
+    goes, never whether an effect applies."""
     at = {}  # trigger -> transition index
     for k, rule in enumerate(transitions):
         t = rule.trigger
@@ -386,20 +389,12 @@ def _check_transitions(transitions, n_phases, obstacles):
         if t in at:
             raise ValueError(f"transition {k}: trigger {t} repeats the trigger of transition {at[t]}")
         at[t] = k
-    placed, attached = [ob.name for ob in obstacles], []  # lists: an id need not be hashable
-    for t, k in sorted(at.items()):
-        kind, obj = transitions[k].effect["type"], transitions[k].effect.get("object")
-        if kind == "attach" and obj not in attached:
-            if obj not in placed:
-                raise ValueError(f"transition {k}: attach names object {obj!r}, which is neither an obstacle "
-                                 f"nor attached at phase {t}")
-            placed = [name for name in placed if name != obj]
-            attached.append(obj)
-        elif kind == "detach":
-            if obj not in attached:
-                raise ValueError(f"transition {k}: detach names object {obj!r}, which is not attached at phase {t}")
-            attached.remove(obj)
-            placed.append(obj)
+    fs, q = FreeSpaceState(obstacles=obstacles), np.asarray(start, dtype=float)
+    for _, k in sorted(at.items()):
+        try:
+            fs = apply_transition(fs, transitions[k], q, system)
+        except (TypeError, ValueError) as err:  # TypeError: an unhashable object id that names an obstacle
+            raise ValueError(f"transition {k}: {err}") from None
 
 
 def task_from_dict(d):
@@ -410,10 +405,11 @@ def task_from_dict(d):
     manifold or an attach effect has no system to act on, the manifolds,
     ``start`` and ``bounds`` disagree on the number of configuration
     coordinates, a ``bounds`` entry is not a finite [lo, hi] pair with
-    lo <= hi or leaves its joint's limits, ``profile``, ``collision_step``
-    or a transition effect holds a value outside its allowed set, two
-    transitions share a trigger or one's trigger is not a phase index, or an
-    attach or detach names an object that is not there to take at its phase.
+    lo <= hi or leaves its joint's limits, a ``start`` entry is not a finite
+    number, ``profile``, ``collision_step`` or a transition effect holds a
+    value outside its allowed set, two transitions share a trigger or one's
+    trigger is not a phase index, or an attach or detach names an object
+    that is not there to take at its phase.
     """
     if not isinstance(d, dict):
         raise ValueError("a scene description must be a JSON object")
@@ -432,6 +428,9 @@ def task_from_dict(d):
     for key in ("start", "bounds"):
         if not isinstance(d[key], (list, tuple)) or len(d[key]) != k:
             raise ValueError(f"scene {key!r} must have one entry per configuration coordinate ({k}), got {d[key]!r}")
+    for j, x in enumerate(d["start"]):
+        if not _is_finite_real(x):
+            raise ValueError(f"start entry {j} must be a finite number, got {x!r}")
     for j, b in enumerate(d["bounds"]):
         if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_finite_real, b)) and b[0] <= b[1]):
             raise ValueError(f"bounds entry {j} must be a [lo, hi] pair of finite numbers with lo <= hi, got {b!r}")
@@ -442,7 +441,7 @@ def task_from_dict(d):
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
         tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
     transitions = _from_entries("transition", d.get("transitions", ()), lambda r: _transition_from_dict(r, system))
-    _check_transitions(transitions, len(manifolds) - 1, obstacles)
+    _check_transitions(transitions, len(manifolds) - 1, obstacles, d["start"], system)
     step = d.get("collision_step", DEFAULT_COLLISION_STEP)
     if not (_is_finite_real(step) and step > 0):
         raise ValueError(f"scene 'collision_step' must be a positive finite number, got {step!r}")

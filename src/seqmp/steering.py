@@ -6,8 +6,8 @@ by descending its residual inside the current tangent space. The dispatcher
 takes a fixed-length step and projects either back onto the current
 manifold or onto the intersection, with a randomized closeness threshold.
 
-What depends on the tree node alone is memoised per node by the planner
-run: the tangent basis of a manifold with two or more rows, the constraint
+What depends on the tree node alone is memoised per node by the planner's
+tree: the tangent basis of a manifold with two or more rows, the constraint
 step and each projection made of it. On a curve (a one-column basis b)
 every step goes along +b or -b, so a point steer and a constraint steer
 share at most two steps per node, each projected at most once per target.
@@ -74,8 +74,7 @@ def _side(b, d):
 
 def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     """One steering attempt from a tree node on m_i, with the ``alpha``,
-    ``beta``, ``r``, ``eps`` and ``max_project_iters`` of ``params`` (a
-    ``PlannerParams``).
+    ``beta``, ``r`` and ``eps`` of ``params`` (a ``PlannerParams``).
 
     With probability beta uses constraint-directed steering, otherwise steers
     toward q_rand. Takes a step of length exactly alpha, then projects onto
@@ -84,7 +83,7 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     configuration or None (sample discarded). Both RNG draws are always
     consumed so that seed streams stay reproducible.
 
-    ``memo`` is the dict a planner run keeps for the node q_near (a fresh
+    ``memo`` is the dict the planner's tree keeps for the node q_near (a fresh
     one when None). It holds what depends on the node alone:
 
     - ``"basis"``: the tangent basis B of m_i at q_near, when m_i has two or
@@ -131,5 +130,5 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
     onto_next = step[1] < threshold
     if (key, onto_next) not in memo:
         m = Intersection(m_i, m_next) if onto_next else m_i
-        memo[key, onto_next] = project(step[0], m, params.eps, params.max_project_iters)
+        memo[key, onto_next] = project(step[0], m, params.eps)
     return memo[key, onto_next]

@@ -148,15 +148,12 @@ class TestPathFiles:
         bench.write_path_csv(path, f)
         assert bench.validate_path_file(f, "point3d_free", {"m": 300}) == []
 
-    def test_records_csv_and_jsonl(self, tmp_path):
+    def test_records_csv(self, tmp_path):
         recs = bench.batch("point3d_free", "psm", [0], params=FAST)
         bench.write_records_csv(recs, tmp_path / "r.csv")
-        bench.write_records_jsonl(recs, tmp_path / "r.jsonl")
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["scene", "planner", "seed"]
         assert len(lines) == 2
-        row = json.loads((tmp_path / "r.jsonl").read_text().strip())
-        assert row["scene"] == "point3d_free" and row["success"]
 
 
 class TestCli:
@@ -265,6 +262,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(f=f) in err
 
+    @pytest.mark.parametrize("labels", [(5, 6, 7), (0, 2, 4)])
+    def test_validate_rejects_segment_labels_that_do_not_count_up_from_0(self, tmp_path, capsys, labels):
+        out = tmp_path / "out"
+        main(["plan", "--scene", "point3d_free", "--planner", "psm", "--seed", "0",
+              "--params", self._params_file(tmp_path, m=300), "--out", str(out)])
+        header, *rows = (out / "path.csv").read_text().splitlines()
+        segs = [int(row.split(",", 1)[0]) for row in rows]
+        f = out / "relabelled.csv"
+        f.write_text("\n".join([header] + [f"{labels[s]},{row.split(',', 1)[1]}" for s, row in zip(segs, rows)]))
+        capsys.readouterr()
+        rc = main(["validate", "--path", str(f), "--scene", "point3d_free"])
+        assert rc == 2
+        k = 0 if labels[0] else segs.index(1)  # the first row whose label is wrong
+        assert f"path file {f}: row {k + 2} has segment label {labels[segs[k]]}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["plan", "validate"])
     def test_params_that_are_not_an_object_exit_2(self, tmp_path, capsys, command):
         f = tmp_path / "params.json"
@@ -281,6 +293,16 @@ class TestCli:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 0
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 5  # header + 4 runs
+
+    def test_sweep_loads_a_scene_file_once(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "scene.json"
+        assert main(["export-scene", "point3d_free", "--out", str(f)]) == 0
+        calls, load = [], bench.load_task
+        monkeypatch.setattr(bench, "load_task", lambda path: calls.append(path) or load(path))
+        rc = main(["sweep", "--scene", str(f), "--param", "m", "--values", "20", "--seeds", "1",
+                   "--params", self._params_file(tmp_path)])
+        assert rc == 0
+        assert calls == [str(f)]
 
     def test_sweep_with_jobs_below_one_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "--scene", "point3d_free", "--param", "m", "--values", "100", "--seeds", "2",
@@ -343,6 +365,10 @@ _NAMED_ENTRY_CASES = {
     "trigger_not_an_integer": ("transition 1", "trigger '1'"),
     "attach_unknown_object": ("transition 0", "'zzz'"),
     "detach_not_attached": ("transition 1", "'pillar'", "not attached"),
+    "object_id_not_hashable": ("transition 0", "unhashable"),
+    "start_entry_null": ("start entry 0", "None"),
+    "start_entry_text": ("start entry 0", "'a'"),
+    "start_entry_bool": ("start entry 0", "True"),
 }
 
 
@@ -430,6 +456,13 @@ def _bad_scene_files():
     for case, k, obj in (("attach_unknown_object", 0, "zzz"), ("detach_not_attached", 1, "pillar")):
         d = copy.deepcopy(robot)
         d["transitions"][k]["effect"]["object"] = obj
+        out[case] = d
+    d = copy.deepcopy(robot)
+    d["obstacles"][0]["name"] = d["transitions"][0]["effect"]["object"] = ["obj1"]
+    out["object_id_not_hashable"] = d
+    for case, bad in (("start_entry_null", None), ("start_entry_text", "a"), ("start_entry_bool", True)):
+        d = json.loads(export_scene_json("plane_cylinder_point"))
+        d["start"][0] = bad
         out[case] = d
     return out
 

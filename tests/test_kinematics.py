@@ -278,7 +278,7 @@ class TestBodyPoints:
 
 def _memo_chains():
     """Chains of equal dof with different geometry: one configuration fits them all."""
-    mobile = _system("transport_b_mini").chains[2]  # two prismatic joints
+    mobile = _fresh_copy(_system("transport_b_mini").chains[2])  # two prismatic joints; the loader ran FK on it
     return (planar_two_link(), planar_two_link(base=(0.5, -1.0, 0.25)), mobile)
 
 
@@ -343,7 +343,7 @@ class TestFkMemo:
 
     @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
     def test_a_clone_starts_with_an_empty_cache(self, clone):
-        chain = _system("transport_b_mini").chains[2]
+        chain = _fresh_copy(_system("transport_b_mini").chains[2])  # the loader ran FK on it
         for q in ([0.3, -0.2], [0.1, 0.4]):
             chain.fk_frames(np.array(q))
         twin = clone(chain)

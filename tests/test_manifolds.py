@@ -85,7 +85,7 @@ class TestProject:
 
     def test_zero_jacobian_point_fails(self):
         # the sphere center has a zero gradient; projection cannot progress
-        assert project(np.zeros(3), Sphere(1.0), eps=1e-9, max_iters=50) is None
+        assert project(np.zeros(3), Sphere(1.0), eps=1e-9) is None
 
     def test_success_implies_residual_below_eps(self):
         for m in builtin_manifolds():
@@ -98,8 +98,6 @@ class TestProject:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             project(np.zeros(3), Sphere(1.0), eps=0.0)
-        with pytest.raises(ValueError):
-            project(np.zeros(3), Sphere(1.0), eps=1e-6, max_iters=0)
 
 
 class TestTangentNullspace:

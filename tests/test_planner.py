@@ -191,7 +191,7 @@ class TestRrtStarExtend:
 
         t = Tree(2)
         t.add(np.array([0.0, 0.0]), parent=-1, cost=0.0)
-        params = PlannerParams(alpha=2.0, gamma_rrt=100.0)
+        params = PlannerParams(alpha=2.0)
         g = 100.0
         rrt_star_extend(t, 0, np.array([1.0, 1.2]), FREE, params, gamma=g)   # node 1
         rrt_star_extend(t, 1, np.array([2.0, 0.1]), FREE, params, gamma=g)   # node 2, via detour
@@ -642,6 +642,12 @@ class TestDegenerateTasks:
         with pytest.raises(ValueError):
             psm_star(task, SMALL)
 
+    @pytest.mark.parametrize("name", sorted(planner.PLANNERS))
+    def test_start_with_a_nan_coordinate_rejected(self, name):
+        task = dataclasses.replace(line_point_task(), q_start=(0.0, float("nan")))
+        with pytest.raises(ValueError, match="violates the first constraint"):
+            planner.PLANNERS[name](task, SMALL)
+
 
 class RecordingTree(Tree):
     """A Tree that records what the planner does to it: each ``add``'s parent
@@ -848,13 +854,13 @@ def test_ik_goal_connection_is_cheapest_after_rewiring(recorded_trees):
 
 
 class TestPlannerParamsValidation:
-    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r", "gamma_rrt"]),
+    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r"]),
            value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             PlannerParams(**{name: value})
 
-    @given(name=st.sampled_from(["alpha", "r", "eps", "gamma_rrt"]),
+    @given(name=st.sampled_from(["alpha", "r", "eps"]),
            value=st.floats(max_value=0.0, allow_nan=False))
     def test_rejects_non_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -865,22 +871,20 @@ class TestPlannerParamsValidation:
         with pytest.raises(ValueError, match="rho"):
             PlannerParams(rho=value)
 
-    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r", "gamma_rrt"]),
+    @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r"]),
            value=st.text() | st.booleans() | st.lists(st.floats(), max_size=2) | st.complex_numbers())
     def test_rejects_non_real(self, name, value):
         with pytest.raises(ValueError, match=name):
             PlannerParams(**{name: value})
 
-    @given(name=st.sampled_from(["m", "seed", "max_project_iters"]),
+    @given(name=st.sampled_from(["m", "seed"]),
            value=st.text() | st.booleans() | st.floats() | st.none())
     def test_rejects_non_integer(self, name, value):
         with pytest.raises(ValueError, match=name):
             PlannerParams(**{name: value})
 
-    @given(value=st.integers(max_value=0))
-    def test_rejects_max_project_iters_below_one(self, value):
-        with pytest.raises(ValueError, match="max_project_iters must be >= 1"):
-            PlannerParams(max_project_iters=value)
+    def test_fields_are_the_psm_star_parameters_and_the_seed(self):
+        assert {f.name for f in dataclasses.fields(PlannerParams)} == {"alpha", "beta", "eps", "rho", "r", "m", "seed"}
 
     @given(alpha=st.floats(1e-6, 1e6), r=st.floats(1e-6, 1e6), rho=st.floats(0.0, 1e6))
     def test_accepts_finite_in_range(self, alpha, r, rho):

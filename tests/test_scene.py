@@ -241,7 +241,7 @@ class TestApplyTransition:
 
     def test_attach_unknown_object_raises(self):
         task, fs = self._setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'nope', which is neither an obstacle nor attached at phase 0"):
             apply_transition(fs, TransitionRule(0, {"type": "attach", "object": "nope", "body": 0}),
                              task.start(), task.system)
 
@@ -381,6 +381,19 @@ class TestSceneJson:
         build_benchmark_scene("transport_a_mini").transitions[0].effect["object"] = "zzz"
         assert export_scene_json("transport_a_mini") == before
         assert build_benchmark_scene("transport_a_mini").transitions[0].effect["object"] == "obj1"
+
+    def test_transitions_listed_out_of_trigger_order_load(self):
+        d = json.loads(export_scene_json("transport_a_mini"))
+        d["transitions"].reverse()  # the detach at phase 1 comes first
+        task = task_from_dict(d)
+        assert [task.rule_for_phase(t).effect["type"] for t in (0, 1)] == ["attach", "detach"]
+
+    def test_a_reattach_from_another_body_loads(self):
+        # transport_b_mini hands obj1 from arm 1 (body 0) to the tray (body 2)
+        task = task_from_dict(json.loads(export_scene_json("transport_b_mini")))
+        fs = task.advance_free_space(task.free_space, 0, task.start())
+        fs = task.advance_free_space(fs, 1, task.start())
+        assert [(a.object_id, a.body) for a in fs.attachments] == [("obj1", 2)]
 
     def test_schema_keys(self):
         d = json.loads(export_scene_json("point3d_obstacles"))

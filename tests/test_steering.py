@@ -209,7 +209,7 @@ def _memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, rng):
     q_new = q_near + params.alpha * d / d_norm
     onto_next = bool(np.linalg.norm(evaluate(m_next, q_new)) < threshold)
     target = Intersection(m_i, m_next) if onto_next else m_i
-    return project(q_new, target, params.eps, params.max_project_iters), use_constraint, onto_next
+    return project(q_new, target, params.eps), use_constraint, onto_next
 
 
 class TestSteerMemo:
