@@ -14,7 +14,9 @@ tool point, R and the joint axes straight from that pass. Collision
 sample points of a batch of configurations come from one batched pass over
 all of them, which builds every joint rotation of the batch in one broadcast.
 Both passes start at the first joint instead of multiplying by the identity
-base frame, which gives the same values.
+base frame, which gives the same values. Each system also keeps, per
+collision sample point, a bound on how fast it moves with q, which the
+scene's safety certificates (``Task.clearance``) divide distances by.
 """
 from __future__ import annotations
 
@@ -129,6 +131,33 @@ class SerialChain:
             return np.asarray(self.limits, dtype=float)
         return np.tile([-np.pi, np.pi], (self.dof, 1))
 
+    def speed_bounds(self):
+        """Bounds Λ_k >= |∂p_k/∂q|₂ on this chain's collision sample points,
+        over every configuration within the joint limits; shape (2 dof + 3,),
+        in the row order of ``MultiRobotSystem.body_points``: the dof + 2
+        frames, then the dof + 1 link midpoints.
+
+        Link i joins frame i to frame i + 1 (the last link is the tool) and is
+        at most its fixed offset long, plus the travel of a prismatic joint i.
+        A revolute joint j turns the frames beyond frame j + 1 about it, so
+        their Jacobian column j is at most the links in between long; a
+        prismatic joint slides frame j + 1 and every one beyond along a unit
+        axis. A midpoint's column is the mean of its two frames' columns.
+        sqrt(Σ_j bound_j²) bounds the Frobenius norm, hence the 2-norm.
+        """
+        dof = self.dof
+        travel = np.where(self._revolute, 0.0, np.abs(self.joint_limits()).max(axis=1))
+        link = np.array([np.linalg.norm(origin) for origin, *_ in self._terms] + [np.linalg.norm(self._tool)])
+        link[:dof] += travel
+        col = np.zeros((dof, dof + 2))  # bound on column j of each frame's Jacobian
+        for j in range(dof):
+            if self._revolute[j]:
+                col[j, j + 2:] = np.cumsum(link[j + 1:])
+            else:
+                col[j, j + 1:] = 1.0
+        col = np.hstack([col, 0.5 * (col[:, :-1] + col[:, 1:])])
+        return np.sqrt((col * col).sum(axis=0))
+
     def fk_frames(self, q):
         """World positions of the base, each joint frame, and the tool point.
 
@@ -231,6 +260,21 @@ class MultiRobotSystem:
         object.__setattr__(self, "dof", total)
         # row of each chain's tool point in the output of body_points
         object.__setattr__(self, "tool_rows", tuple(tool_rows))
+        # per row of body_points, a bound Λ_k on |∂p_k/∂q|₂ (SerialChain.speed_bounds),
+        # and the map from the stacked frames of cached_frames to those rows
+        speed = np.concatenate([c.speed_bounds() for c in self.chains]) if self.chains else np.zeros(0)
+        frame_map = np.zeros((len(speed), sum(c.dof + 2 for c in self.chains)))
+        row = col = 0
+        for c in self.chains:
+            n = c.dof + 2
+            frame_map[row:row + n, col:col + n] = np.eye(n)
+            for i in range(n - 1):
+                frame_map[row + n + i, col + i:col + i + 2] = 0.5
+            row, col = row + 2 * n - 1, col + n
+        for a in (speed, frame_map):
+            a.flags.writeable = False
+        object.__setattr__(self, "speed_bounds", speed)
+        object.__setattr__(self, "frame_map", frame_map)
 
     def chain_config(self, q, chain):
         q = np.asarray(q, dtype=float)
@@ -259,6 +303,12 @@ class MultiRobotSystem:
             pts.append(0.5 * (frames[:, :-1] + frames[:, 1:]))
         out = np.concatenate(pts, axis=1)
         return out[0] if q.ndim == 1 else out
+
+    def cached_frames(self, q):
+        """Every chain's frame positions at one configuration q (k,), stacked
+        in chain order, from the chains' cached scalar ``fk_frames`` passes.
+        ``frame_map @ cached_frames(q)`` is ``body_points(q)`` to rounding."""
+        return np.concatenate([c.fk_frames(q[lo:lo + c.dof])[0] for c, lo in zip(self.chains, self.offsets)])
 
 
 def tool_point(sys, chain, q):

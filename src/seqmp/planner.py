@@ -12,9 +12,14 @@ extend skips the work whose outcome is already fixed:
   steps along +b and -b that every steer there takes, each step with its
   projections; for ``rrtstar-ik`` the step toward its IK goal. A repeat
   costs no projection; the memos die with their tree;
+- a result a node's memo keeps reaches ``rrt_star_extend`` once: a repeat
+  is a twin, out of bounds or collides again (``_handed_out_before``);
 - ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
   before its first segment check, on the distance pass that also gives the
-  neighbours.
+  neighbours, and checks each (node, q_new) segment at most once;
+- a segment shorter than the sum of its endpoints' clearance radii
+  (``Task.clearance``, computed once per configuration and free space) is
+  free without the sampled test (``_CertifiedCheck``).
 
 A planner is a choice of policies on top of that core:
 
@@ -45,6 +50,8 @@ IK_RETRIES = 100
 IK_GOAL_BIAS = 0.1
 # a q_new within DUPLICATE_TOL * eps of a node of its tree is that node again
 DUPLICATE_TOL = 1e-6
+# the steer-memo key under which ``_Run.extend`` marks the kept results it has handed out
+_HANDED_OUT = "handed_out"
 
 
 @dataclass(frozen=True)
@@ -243,7 +250,11 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
     free one is the parent: the cheapest free neighbour, lowest id on ties,
     found with no more segment checks than checking every improving
     neighbour in id order. Rewiring then checks, in id order, the neighbours
-    that q_new makes cheaper.
+    that q_new makes cheaper, except ``near_id``, whose segment is known to be
+    free. No other segment of the parent search comes up again: the parent is
+    not rewired, and a neighbour tried before it costs at most c_min through
+    q_new, so c_min plus its distance to q_new exceeds its cost. So no
+    (node, q_new) segment is checked twice.
     """
     q_new = np.asarray(q_new, dtype=float)
     tol = DUPLICATE_TOL * params.eps
@@ -272,7 +283,7 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
     through_new = c_min + dist[:-1]
     for k in ((through_new < cost[:-1]) & (nbr != q_min)).nonzero()[0].tolist():
         i, c = neighbors[k], float(through_new[k])
-        if c < tree.cost[i] and segment_free(i, q_new):
+        if c < tree.cost[i] and (i == near_id or segment_free(i, q_new)):
             tree.reparent(i, new_id, c)
     return new_id
 
@@ -283,6 +294,25 @@ def _in_bounds(q, bounds):
         if not lo <= x <= hi:
             return False
     return True
+
+
+def _handed_out_before(memo, q_new):
+    """Whether ``q_new`` is a result the steer memo ``memo`` keeps and has
+    handed out before; the first time, it is marked as handed out.
+
+    Such a repeat from the same node is dropped before ``rrt_star_extend``:
+    the first time it was inserted (so it is now a twin), or it was a twin,
+    out of bounds, or its segment from the node collided, and each of those
+    holds again. The marks are the ids of kept objects, which the memo keeps
+    alive, so no other object can carry one.
+    """
+    if not any(v is q_new for v in memo.values()):
+        return False
+    handed = memo.setdefault(_HANDED_OUT, set())
+    if id(q_new) in handed:
+        return True
+    handed.add(id(q_new))
+    return False
 
 
 class _Run:
@@ -331,7 +361,7 @@ class _Run:
         q_new = steer(tree.config(near_id), q_rand, m_i, m_next, memo)
         if memo:  # a node on a one-row manifold that only point-steered stores nothing
             tree.memo[near_id] = memo
-        if q_new is None or not _in_bounds(q_new, self.bounds):
+        if q_new is None or _handed_out_before(memo, q_new) or not _in_bounds(q_new, self.bounds):
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
         return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
@@ -344,9 +374,36 @@ def _psm_steering(run):
                                                                run.rng, memo)
 
 
-def _segment_free_in(task, tree, fs):
-    """Segment check of a tree whose edges all lie in the free space ``fs``."""
-    return lambda a_id, q, on: task.segment_free(tree.config(a_id), q, fs)
+class _CertifiedCheck:
+    """The segment check of one free space ``fs``, which skips the sampled
+    test where the endpoints' safety certificates (``Task.clearance``) prove
+    the segment free: every point of a segment shorter than r_a + r_b lies
+    within r_a of a or within r_b of b. The certificate answers "free" only
+    where the sampled test does too, so every verdict is the sampled test's.
+    Each configuration's radius is computed once, keyed on its bytes, so a
+    q_new's radius serves it again once it is a node."""
+
+    def __init__(self, task, fs):
+        self.task, self.fs, self.radius = task, fs, {}
+
+    def clearance(self, q):
+        key = q.tobytes()
+        r = self.radius.get(key)
+        if r is None:
+            r = self.radius[key] = self.task.clearance(q, self.fs)
+        return r
+
+    def __call__(self, qa, qb):
+        d = norm(qb - qa)
+        r_a = self.clearance(qa)
+        if d < r_a or d < r_a + self.clearance(qb):  # b's radius only when a's does not cover it
+            return True
+        return self.task.segment_free(qa, qb, self.fs)
+
+
+def _segment_free_in(check, tree):
+    """Segment check of a tree whose edges all lie in the free space of ``check``."""
+    return lambda a_id, q, on: check(tree.config(a_id), q)
 
 
 def _stitch(segments):
@@ -373,7 +430,7 @@ def _psm_run(task, params, greedy):
 
     for i in range(n):
         m_next = task.manifolds[i + 1]
-        segment_free = _segment_free_in(task, tree, fs)
+        segment_free = _segment_free_in(_CertifiedCheck(task, fs), tree)
         V_goal = []
         for _ in range(params.m):
             new_id = run.extend(tree, run.uniform(), steer, segment_free)
@@ -454,7 +511,8 @@ def psm_star_single_tree(task, params):
     run = _Run(task, params)
     steer = _psm_steering(run)
     n = task.n_phases
-    fs_list = [task.free_space] + [None] * n  # free space of each phase, set once first reached
+    # the segment check in the free space of each phase, set once the phase is first reached
+    checks = [_CertifiedCheck(task, task.free_space)] + [None] * n
     tree = Tree(task.ambient_dim)
     tree.add(task.start(), parent=-1, cost=0.0, phase=0, on=(0,))
     goals = []
@@ -468,15 +526,14 @@ def psm_star_single_tree(task, params):
     def segment_free(a_id, q, on_new):
         # an edge joins only two nodes that share a manifold
         on_a = tree.on[a_id]
-        return _shares_manifold(on_a, on_new) and task.segment_free(
-            tree.config(a_id), q, fs_list[_edge_manifold(on_a, on_new, n)])
+        return _shares_manifold(on_a, on_new) and checks[_edge_manifold(on_a, on_new, n)](tree.config(a_id), q)
 
     for _ in range(n * params.m):
         new_id = run.extend(tree, run.uniform(), steer, segment_free, label)
         if new_id is not None and len(tree.on[new_id]) == 2:
             i, j = tree.on[new_id]
-            if fs_list[j] is None:
-                fs_list[j] = task.advance_free_space(fs_list[i], i, tree.config(new_id))
+            if checks[j] is None:
+                checks[j] = _CertifiedCheck(task, task.advance_free_space(checks[i].fs, i, tree.config(new_id)))
             if j == n:
                 goals.append(new_id)
     if not goals:
@@ -519,12 +576,13 @@ def rrt_star_ik(task, params):
 
         tree = Tree(task.ambient_dim)
         tree.add(q_seg_start, parent=-1, cost=0.0, phase=i)
-        segment_free = _segment_free_in(task, tree, fs)
+        check = _CertifiedCheck(task, fs)
+        segment_free = _segment_free_in(check, tree)
 
         def goal_link(node):
             """[(distance to the goal, node)] if node is a free step from it, else []."""
             gd = norm(tree.config(node) - goal)
-            if gd <= params.alpha and task.segment_free(tree.config(node), goal, fs):
+            if gd <= params.alpha and check(tree.config(node), goal):
                 return [(gd, node)]
             return []
 

@@ -5,7 +5,9 @@ The free configuration space is represented by a set of axis-aligned boxes
 plus attachment records for objects currently carried by a robot body. A
 TransitionRule describes how the free space changes when a manifold
 intersection is reached (attach/detach of objects). FreeSpaceState is an
-immutable value; transitions return new states.
+immutable value; transitions return new states. ``Task.clearance`` gives a
+configuration's safety certificate: a radius within which every configuration
+is free, so a segment covered by its endpoints' radii needs no sampled test.
 
 Every Task is built by one loader, ``task_from_dict``, from a scene
 description dict (the JSON schema of scene files). The built-in scenes are
@@ -28,6 +30,14 @@ from .manifolds import AffinePlane, Cylinder, Paraboloid, PointGoal, norm
 
 DEFAULT_COLLISION_STEP = 0.05
 PROFILES = ("point", "robot")  # which planner defaults a scene runs with
+# ``Task.clearance`` shrinks every radius by this much, in configuration
+# units: far more than the rounding that separates the points the sampled
+# test builds (interpolation, the batched FK pass) and the box distances from
+# exact arithmetic, at coordinates and link lengths up to about 1e3
+CLEARANCE_MARGIN = 1e-9
+# the bound given a sample point no joint moves (Λ = 0); any positive value is
+# still a bound, and the point's distance over it stays finite
+FIXED_POINT_SPEED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,30 @@ def point_free(points, fs):
     return not ((pts > lo) & (pts < hi)).all(axis=2).any()
 
 
+def _squared_box_distances(points, fs):
+    """Squared Euclidean distance from each point of (P, d) to each obstacle
+    of ``fs``, shape (n_obstacles, P); 0 for a point inside or on a box."""
+    lo, hi = fs.corners
+    gap = np.maximum(lo - points, points - hi)
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    return gap.sum(axis=2)
+
+
+def _distance_to_boxes(x, boxes):
+    """Euclidean distance from the point ``x`` (a list of floats) to the
+    nearest of ``boxes`` (``FreeSpaceState.boxes``); 0 inside or on a box. A
+    plain Python loop over a few boxes is faster here than a numpy broadcast."""
+    best = math.inf
+    for lo, hi in boxes:
+        s = 0.0
+        for xi, l, h in zip(x, lo, hi):
+            g = l - xi if xi < l else xi - h if xi > h else 0.0
+            s += g * g
+        best = min(best, s)
+    return math.sqrt(best)
+
+
 def _segment_clear_of_boxes(qa, qb, boxes):
     """True when the box spanned by ``qa`` and ``qb``, inflated by a rounding
     margin, overlaps no obstacle box, which proves every interpolated point
@@ -274,6 +308,58 @@ class Task:
 
     def config_free(self, q, fs):
         return point_free(collision_points(q, fs, self.system), fs)
+
+    def clearance(self, q, fs):
+        """A safety certificate of q in ``fs``: a radius r such that every
+        configuration within r of q (and within the joint limits) keeps all
+        the points ``collision_free_segment`` samples outside every obstacle.
+        So a segment shorter than the sum of its endpoints' radii is free, and
+        the sampled test would find it free (Bialkowski et al., "Efficient
+        collision checking in sampling-based motion planning via safety
+        certificates", IJRR 2016).
+
+        A point scene's r is the distance from q to the nearest box. A robot
+        scene's is the minimum over the sample points p_k (joint frames, link
+        midpoints and carried-object centres, from the chains' cached FK
+        passes) of p_k's distance to the nearest box over Λ_k, the system's
+        bound on |∂p_k/∂q|₂. Either is shrunk by ``CLEARANCE_MARGIN``, and is
+        never negative; it is infinite when ``fs`` holds no obstacle, and 0
+        for a q that is not finite.
+        """
+        q = np.asarray(q, dtype=float)
+        x = q.tolist()
+        if not math.isfinite(sum(x)):
+            return 0.0
+        if not fs.obstacles:
+            return math.inf
+        if self.system is None:
+            r = _distance_to_boxes(x, fs.boxes)
+        else:
+            frame_map, offsets, weights = self._sample_map(fs.attachments)
+            points = frame_map @ self.system.cached_frames(q)
+            points += offsets
+            r = math.sqrt((_squared_box_distances(points, fs) * weights).min())
+        return max(0.0, r - CLEARANCE_MARGIN)
+
+    @cached_property
+    def _sample_maps(self):
+        return {}  # attachments -> the result of _sample_map
+
+    def _sample_map(self, attachments):
+        """(frame_map, offsets, weights) of a robot's sample points in a free
+        space carrying ``attachments``: the points at q are frame_map @
+        ``system.cached_frames(q)`` + offsets, the rows of ``body_points``
+        followed by one carried-object centre per attachment, and weights_k is
+        1 / Λ_k², a centre moving as its body's tool point (a point no joint
+        moves gets Λ = ``FIXED_POINT_SPEED``). Built once per attachments."""
+        out = self._sample_maps.get(attachments)
+        if out is None:
+            system = self.system
+            rows = list(range(len(system.speed_bounds))) + [system.tool_rows[rec.body] for rec in attachments]
+            offsets = np.array([(0.0, 0.0, 0.0)] * len(system.speed_bounds) + [rec.offset for rec in attachments])
+            speed = np.maximum(system.speed_bounds[rows], FIXED_POINT_SPEED)
+            out = self._sample_maps[attachments] = (system.frame_map[rows], offsets, 1.0 / (speed * speed))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +489,9 @@ def task_from_dict(d):
     Raises ValueError naming the problem when a required key (manifold
     params included) is missing, an entry is not an object, a kinematic
     manifold or an attach effect has no system to act on, the manifolds,
-    ``start`` and ``bounds`` disagree on the number of configuration
-    coordinates, a ``bounds`` entry is not a finite [lo, hi] pair with
-    lo <= hi or leaves its joint's limits, a ``start`` entry is not a finite
+    ``start``, ``bounds`` and the system's joints disagree on the number of
+    configuration coordinates, a ``bounds`` entry is not a finite [lo, hi]
+    pair with lo <= hi or leaves its joint's limits, a ``start`` entry is not a finite
     number, ``profile``, ``collision_step`` or a transition effect holds a
     value outside its allowed set, two transitions share a trigger or one's
     trigger is not a phase index, or an attach or detach names an object
@@ -425,6 +511,9 @@ def task_from_dict(d):
         if m.ambient_dim != k:
             raise ValueError(f"manifold {j} ({m.name!r}) has {m.ambient_dim} configuration coordinates, "
                              f"manifold 0 ({manifolds[0].name!r}) has {k}")
+    if system is not None and system.dof != k:
+        raise ValueError(f"scene 'system' has {system.dof} joints, but the manifolds have {k} "
+                         f"configuration coordinates")
     for key in ("start", "bounds"):
         if not isinstance(d[key], (list, tuple)) or len(d[key]) != k:
             raise ValueError(f"scene {key!r} must have one entry per configuration coordinate ({k}), got {d[key]!r}")

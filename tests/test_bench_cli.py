@@ -369,6 +369,7 @@ _NAMED_ENTRY_CASES = {
     "start_entry_null": ("start entry 0", "None"),
     "start_entry_text": ("start entry 0", "'a'"),
     "start_entry_bool": ("start entry 0", "True"),
+    "system_dof_differs_from_manifolds": ("'system' has 4 joints", "3 configuration coordinates"),
 }
 
 
@@ -460,6 +461,10 @@ def _bad_scene_files():
     d = copy.deepcopy(robot)
     d["obstacles"][0]["name"] = d["transitions"][0]["effect"]["object"] = ["obj1"]
     out["object_id_not_hashable"] = d
+    # a 4-joint system under 3-coordinate manifolds; bounds and start kept inside the joint limits
+    d = json.loads(export_scene_json("point3d_obstacles"))
+    d.update(system=robot["system"], bounds=[[-2.0, 2.0]] * 3, start=[1.0, 1.0, 2.2])
+    out["system_dof_differs_from_manifolds"] = d
     for case, bad in (("start_entry_null", None), ("start_entry_text", "a"), ("start_entry_bool", True)):
         d = json.loads(export_scene_json("plane_cylinder_point"))
         d["start"][0] = bad

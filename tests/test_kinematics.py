@@ -612,3 +612,49 @@ def test_tool_jacobian_bit_identical_to_where_and_zeros_form(chains, data):
             want = _tool_jacobian_where_and_zeros(sys, c, cols, q)
             assert got.shape == want.shape == (3, sys.dof)
             assert got.tobytes() == want.tobytes()
+
+
+def _telescoping_arm():
+    """A revolute base, then a prismatic joint between two revolute ones: the
+    base joint turns the telescope, whose travel makes most of its reach."""
+    return kin.MultiRobotSystem(chains=(kin.SerialChain(
+        joints=(kin.Joint((0.0, 0.0, 1.0), kin.REVOLUTE, (0.0, 0.0, 0.2)),
+                kin.Joint((1.0, 0.0, 0.0), kin.PRISMATIC, (0.0, 0.0, 0.0)),
+                kin.Joint((0.0, 1.0, 0.0), kin.REVOLUTE, (0.1, 0.0, 0.0))),
+        tool=(0.1, 0.0, 0.0), limits=((-np.pi, np.pi), (-1.0, 1.5), (-2.0, 2.0))),))
+
+
+_SPEED_SYSTEMS = {"transport_a_mini": lambda: _system("transport_a_mini"),
+                  "transport_b_mini": lambda: _system("transport_b_mini"),  # arms and the prismatic tray
+                  "telescoping_arm": _telescoping_arm}
+
+
+@pytest.mark.parametrize("name", sorted(_SPEED_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_speed_bounds_bound_the_fd_jacobian_of_every_body_point(name, data):
+    sys = _SPEED_SYSTEMS[name]()
+    q = np.array([data.draw(st.floats(lo, hi)) for lo, hi in sys.joint_limits()])
+    h = 1e-6
+    J = np.empty(sys.body_points(q).shape + (sys.dof,))  # (P, 3, dof)
+    for j in range(sys.dof):
+        dq = np.zeros(sys.dof)
+        dq[j] = h
+        J[..., j] = (sys.body_points(q + dq) - sys.body_points(q - dq)) / (2.0 * h)
+    assert sys.speed_bounds.shape == (len(J),)
+    assert (np.linalg.norm(J, ord=2, axis=(1, 2)) <= sys.speed_bounds * (1.0 + 1e-6) + 1e-6).all()
+
+
+def test_speed_bound_of_a_stretched_planar_arm_is_its_jacobian_norm():
+    # at q = 0 the tool Jacobian columns are (0, 2, 0) and (0, 1, 0): norm sqrt(5), the bound
+    sys = kin.MultiRobotSystem(chains=(planar_two_link(),))
+    tool = sys.tool_rows[0]
+    assert sys.speed_bounds[tool] == pytest.approx(np.sqrt(5.0))
+    assert sys.speed_bounds[0] == sys.speed_bounds[1] == 0.0  # the base and the first pivot never move
+
+
+@pytest.mark.parametrize("scene", TRANSPORT_SCENES)
+def test_frame_map_of_the_cached_frames_gives_the_body_points(scene):
+    sys = _system(scene)
+    for q in RNG.uniform(-2.0, 2.0, size=(5, sys.dof)):
+        assert np.allclose(sys.frame_map @ sys.cached_frames(q), sys.body_points(q), rtol=0.0, atol=1e-14)

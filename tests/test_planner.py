@@ -27,7 +27,7 @@ from seqmp.planner import (
     rrt_star_extend,
     validate_solution,
 )
-from seqmp.scene import Task, build_benchmark_scene
+from seqmp.scene import FreeSpaceState, ObstacleAABB, Task, build_benchmark_scene
 from sphere import Sphere
 from test_steering import record_calls
 
@@ -471,8 +471,25 @@ class TestDelayedParentCheck:
         q_new = data.draw(point)
         (old, old_checks), (new, new_checks) = self._extend_both(
             build, near_id, q_new, free, PlannerParams(alpha=2.0), gamma=100.0)
-        assert new_checks == old_checks
+        # the reference checks a (node, q_new) segment again when rewiring; rrt_star_extend reuses the verdict
+        assert new_checks == list(dict.fromkeys(old_checks))
         self._assert_same_tree(old, new)
+
+    def test_near_id_is_not_checked_again_when_rewired(self):
+        # root 0 at x=0; near_id 1, a root of cost 10 at x=5; q_new at x=4 hangs
+        # from 0 (cost 4) and rewires 1 (cost 5) on near_id's verdict
+        def build():
+            tree = Tree(1)
+            tree.add(np.array([0.0]), parent=-1, cost=0.0)
+            tree.add(np.array([5.0]), parent=-1, cost=10.0)
+            return tree
+
+        (old, old_checks), (new, new_checks) = self._extend_both(
+            build, 1, np.array([4.0]), [True] * 2, PlannerParams(alpha=10.0), gamma=100.0)
+        assert old_checks == [1, 0, 1]
+        assert new_checks == [1, 0]
+        self._assert_same_tree(old, new)
+        assert new.parent == [-1, 2, 0] and new.cost == [0.0, 5.0, 4.0]
 
     def test_neighbour_below_a_rewired_neighbour_is_tested_at_its_lowered_cost(self):
         # root 0 -> detour 1 (x=5) -> a 2 (x=3) -> b 3 (x=3.5); q_new at x=1 rewires a,
@@ -605,6 +622,64 @@ class TestSteerMemo:
         psm_star(task, bench.params_with_overrides(task, {"m": 60}, seed=1))
         assert len(per_node) > 1
         assert max(per_node.values()) <= 4
+
+
+def _record_extends(monkeypatch):
+    """Each rrt_star_extend call's (tree, near_id, q_new bytes)."""
+    calls, extend = [], planner.rrt_star_extend
+
+    def recorder(tree, near_id, q_new, *rest, **kw):
+        calls.append((id(tree), near_id, np.asarray(q_new).tobytes()))
+        return extend(tree, near_id, q_new, *rest, **kw)
+
+    monkeypatch.setattr(planner, "rrt_star_extend", recorder)
+    return calls
+
+
+class TestHandOutOnce:
+    """A steer result a node's memo keeps reaches rrt_star_extend once: a
+    repeat would be a twin, out of bounds, or collide on the same segment."""
+
+    def test_psm_on_transport_a_mini(self, monkeypatch):
+        task = bench.resolve_task("transport_a_mini")
+        params = bench.params_with_overrides(task, {"m": 60}, seed=1)
+        want = psm_star(task, params)
+        calls = _record_extends(monkeypatch)
+        got = psm_star(task, params)
+        assert len(calls) == len(set(calls)) > 0
+        assert got.configs.tobytes() == want.configs.tobytes()
+
+    def test_rrtstar_ik_goal_step(self, monkeypatch):
+        # every sample is the IK goal (2, 0), behind a wall across y = 0: the root's
+        # kept step reaches (0.5, 0), whose kept step collides, once
+        monkeypatch.setattr(planner, "IK_GOAL_BIAS", 1.0)
+        calls = _record_extends(monkeypatch)
+        wall = FreeSpaceState(obstacles=(ObstacleAABB((0.8, -1.0), (1.2, 1.0)),))
+        task = dataclasses.replace(two_segment_task(), free_space=wall)
+        with pytest.raises(PlanningFailure, match="no path to the IK goal in phase 0"):
+            rrt_star_ik(task, SMALL)
+        assert [near_id for _, near_id, _ in calls] == [0, 1]
+
+    def test_a_fresh_steer_result_is_not_marked(self):
+        memo = {"kept": np.zeros(2)}
+        assert not planner._handed_out_before(memo, np.zeros(2))
+        assert not planner._handed_out_before(memo, memo["kept"])
+        assert planner._handed_out_before(memo, memo["kept"])
+
+
+def test_each_radius_is_computed_once_per_free_space(monkeypatch):
+    # psm-single checks edges in the free space of each phase it has reached
+    task = bench.resolve_task("transport_a_mini")
+    calls, clearance = [], Task.clearance
+
+    def recorder(self, q, fs):
+        calls.append((np.asarray(q).tobytes(), id(fs)))
+        return clearance(self, q, fs)
+
+    monkeypatch.setattr(Task, "clearance", recorder)
+    psm_star_single_tree(task, bench.params_with_overrides(task, {"m": 60}, seed=0))
+    assert len({fs for _, fs in calls}) > 1
+    assert len(calls) == len(set(calls))
 
 
 class TestDegenerateTasks:

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqmp import kinematics as kin
@@ -458,3 +458,85 @@ def test_broad_phase_certifies_clear_segments_and_defers_near_ones():
     assert not _segment_clear_of_boxes(np.array([1.0, 0.5, 0.5]), np.array([2.0, 0.5, 0.5]), boxes)
     for bad in (np.nan, np.inf):
         assert not _segment_clear_of_boxes(np.array([2.0, 0.0, bad]), np.array([3.0, 1.0, 1.0]), boxes)
+
+
+def _free_spaces(task):
+    """The free space of every phase of ``task`` and the one after its last
+    transition, each rule applied at the start configuration."""
+    out = [task.free_space]
+    for i in range(task.n_phases):
+        out.append(task.advance_free_space(out[-1], i, task.start()))
+    return out
+
+
+@st.composite
+def _scene_free_space_config(draw):
+    """(task, free space, configuration within the bounds) over every built-in scene and phase."""
+    task = build_benchmark_scene(draw(st.sampled_from(available_scenes())))
+    fs = draw(st.sampled_from(_free_spaces(task)))
+    q = np.array([draw(st.floats(lo, hi)) for lo, hi in task.bounds])
+    return task, fs, q
+
+
+def _toward(data, task, q, length):
+    """q moved ``length`` along a drawn direction, then clipped into the bounds
+    (which only brings it closer to q)."""
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(q), max_size=len(q))))
+    assume(np.linalg.norm(u) > 1e-3)
+    b = task.bounds_array()
+    return np.clip(q + length * u / np.linalg.norm(u), b[:, 0], b[:, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scene_free_space_config(), data=st.data())
+def test_every_configuration_within_the_clearance_is_free(case, data):
+    task, fs, q = case
+    r = task.clearance(q, fs)
+    assert r >= 0.0
+    if r == 0.0:
+        return
+    if not fs.obstacles:
+        assert r == np.inf
+        return
+    assert task.config_free(q, fs)
+    t = data.draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    assert task.config_free(_toward(data, task, q, t * r), fs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scene_free_space_config(), data=st.data())
+def test_a_certified_segment_passes_the_sampled_test(case, data):
+    task, fs, qa = case
+    r_a = task.clearance(qa, fs)
+    length = data.draw(st.floats(0.0, 1.0)) * (2.0 * r_a if 0.0 < r_a < np.inf else 1.0)
+    qb = _toward(data, task, qa, length)
+    if np.linalg.norm(qb - qa) < r_a + task.clearance(qb, fs):
+        assert task.segment_free(qa, qb, fs)
+
+
+def test_clearance_of_a_point_is_its_distance_to_the_nearest_box():
+    from seqmp.scene import CLEARANCE_MARGIN
+
+    fs = FreeSpaceState(obstacles=(ObstacleAABB((0.0,) * 3, (1.0,) * 3), ObstacleAABB((5.0,) * 3, (6.0,) * 3)))
+    task = build_benchmark_scene("point3d_free")
+    assert task.clearance(np.array([2.0, 0.5, 0.5]), fs) == 1.0 - CLEARANCE_MARGIN
+    assert task.clearance(np.array([4.0, 4.0, 4.0]), fs) == pytest.approx(np.sqrt(3.0) - CLEARANCE_MARGIN)
+    assert task.clearance(np.array([1.0, 0.5, 0.5]), fs) == 0.0  # on a face
+    assert task.clearance(np.array([0.5, 0.5, 0.5]), fs) == 0.0  # inside
+    for bad in (np.nan, np.inf):
+        assert task.clearance(np.array([2.0, 0.5, bad]), fs) == 0.0
+    assert task.clearance(np.array([2.0, 0.5, 0.5]), FreeSpaceState()) == np.inf
+
+
+@pytest.mark.parametrize("name", ["transport_a_mini", "transport_b_mini"])
+def test_robot_clearance_counts_the_carried_object(name):
+    # obj1, attached at the start, gets a small box 1 cm beside its centre: the
+    # radius is at most that gap over the bound of the tool it moves with
+    task = build_benchmark_scene(name)
+    q, carried = task.start(), _free_spaces(task)[1]
+    rec = carried.attachments[0]
+    centre = kin.tool_point(task.system, rec.body, q) + np.asarray(rec.offset)
+    near = ObstacleAABB(tuple(centre + [0.01, -0.001, -0.001]), tuple(centre + [0.012, 0.001, 0.001]))
+    fs = FreeSpaceState(obstacles=carried.obstacles + (near,), attachments=carried.attachments)
+    assert task.config_free(q, fs)
+    assert 0.0 < task.clearance(q, fs) <= 0.01 / task.system.speed_bounds[task.system.tool_rows[rec.body]]
