@@ -48,8 +48,10 @@ class Manifold:
 
 def norm(v):
     """Euclidean norm of a 1-D real vector, equal bit for bit to
-    ``np.linalg.norm(v)``, which takes the same ``sqrt(v.dot(v))``."""
-    return math.sqrt(v.dot(v))
+    ``np.linalg.norm(v)``, which takes the same BLAS dot, ``sqrt(v.dot(v))``.
+    ``np.vdot`` raises no floating-point warning: past the float range the
+    norm is inf, silently."""
+    return math.sqrt(np.vdot(v, v))
 
 
 def evaluate(m, q):
@@ -81,17 +83,19 @@ def fd_jacobian(m, q, step=1e-5):
 def newton_step(J, h):
     """Minimum-norm solution s of J s = h, the step ``pinv(J, rcond=SV_TOL) @ h``.
 
-    A one-row J = g^T gives the closed form g (g.h) / (g.g), and zero when
-    g = 0. More rows go to LAPACK's least squares (gelsd), which drops the
-    singular values <= SV_TOL times the largest, the cut-off pinv uses, so
-    overdetermined stacks and singular poses take the same step.
+    A one-row J = g^T gives the closed form g (g.h) / (g.g), zero when
+    g = 0, and inf where the quotient overflows. More rows go to LAPACK's
+    least squares (gelsd), which drops the singular values <= SV_TOL times
+    the largest, the cut-off pinv uses, so overdetermined stacks and singular
+    poses take the same step.
     """
     if J.shape[0] == 1:
         g = J[0]
-        gg = g @ g
+        gg = float(g @ g)
         if gg == 0.0:
             return np.zeros_like(g)
-        return g * (h[0] / gg)
+        s = float(h[0]) / gg  # on Python floats an overflow gives inf, not a warning
+        return g * s if math.isfinite(s) else np.full_like(g, math.inf)
     return np.linalg.lstsq(J, h, rcond=SV_TOL)[0]
 
 
@@ -114,7 +118,8 @@ def project(q, m, eps):
     (``newton_step``: closed form for one row, least squares otherwise)
     until ||h(q)|| <= eps, for at most ``MAX_PROJECT_ITERS`` steps. Returns
     the projected configuration, or None when the iteration does not
-    converge (the caller discards the sample).
+    converge (the caller discards the sample). An iterate that diverges
+    past the float range ends as None without a floating-point warning.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -131,7 +136,7 @@ def project(q, m, eps):
         except np.linalg.LinAlgError:
             return None
         q = q - step
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             return None
         res = evaluate(m, q)
         new_norm = norm(res)
@@ -165,7 +170,13 @@ def tangent_nullspace(m, q):
 
 
 class Paraboloid(Manifold):
-    """h(q) = coeff * (q1^2 + q2^2) + offset - q3 in R^3."""
+    """h(q) = coeff * (q1^2 + q2^2) + offset - q3 in R^3.
+
+    ``h`` and ``jacobian`` (like ``Cylinder``'s) compute on Python floats:
+    on a 3-vector numpy's per-scalar overhead is most of the cost. A square
+    is ``x * x``, the correctly rounded square, which gives inf past the
+    float range where ``x ** 2`` raises OverflowError.
+    """
 
     def __init__(self, coeff, offset, name="paraboloid"):
         super().__init__(3, 1, name)
@@ -173,10 +184,12 @@ class Paraboloid(Manifold):
         self.offset = float(offset)
 
     def h(self, q):
-        return np.array([self.coeff * (q[0] ** 2 + q[1] ** 2) + self.offset - q[2]])
+        x, y, z = q.tolist()
+        return np.array([self.coeff * (x * x + y * y) + self.offset - z])
 
     def jacobian(self, q):
-        return np.array([[2.0 * self.coeff * q[0], 2.0 * self.coeff * q[1], -1.0]])
+        x, y, _ = q.tolist()
+        return np.array([[2.0 * self.coeff * x, 2.0 * self.coeff * y, -1.0]])
 
 
 class Cylinder(Manifold):
@@ -188,10 +201,12 @@ class Cylinder(Manifold):
         self.rhs = float(rhs)
 
     def h(self, q):
-        return np.array([self.coeff * (q[0] ** 2 + q[1] ** 2) - self.rhs])
+        x, y, _ = q.tolist()
+        return np.array([self.coeff * (x * x + y * y) - self.rhs])
 
     def jacobian(self, q):
-        return np.array([[2.0 * self.coeff * q[0], 2.0 * self.coeff * q[1], 0.0]])
+        x, y, _ = q.tolist()
+        return np.array([[2.0 * self.coeff * x, 2.0 * self.coeff * y, 0.0]])
 
 
 class PointGoal(Manifold):

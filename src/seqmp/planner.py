@@ -15,8 +15,9 @@ extend skips the work whose outcome is already fixed:
 - a result a node's memo keeps reaches ``rrt_star_extend`` once: a repeat
   is a twin, out of bounds or collides again (``_handed_out_before``);
 - ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
-  before its first segment check, on the distance pass that also gives the
-  neighbours, and checks each (node, q_new) segment at most once;
+  before its first segment check, on the one distance pass
+  (``Tree._distances``) that also gives the neighbours and the costs through
+  them, and checks each (node, q_new) segment at most once;
 - a segment shorter than the sum of its endpoints' clearance radii
   (``Task.clearance``, computed once per configuration and free space) is
   free without the sampled test (``_CertifiedCheck``).
@@ -166,13 +167,16 @@ class Tree:
             self.children[parent].append(i)
         return i
 
-    def _distances(self, q):
-        """Distance from q to every node.
+    def _distances(self, q, ids=None):
+        """Distance from q to every node, or to the nodes ``ids`` only.
 
-        The squares are summed in coordinate order, ((d0^2 + d1^2) + d2^2) + ...,
-        an order that does not depend on the CPU's SIMD width.
+        The one distance the planner compares. The squares are summed in
+        coordinate order, ((d0^2 + d1^2) + d2^2) + ..., an order that depends
+        neither on the CPU's SIMD width nor on a BLAS kernel, so the distance
+        to a node is the same bits whichever nodes a pass covers.
         """
-        d = self._cols[:, :len(self.parent)] - np.asarray(q)[:, None]
+        d = self._cols[:, :len(self.parent)] if ids is None else self._cols[:, ids]
+        d = d - np.asarray(q)[:, None]
         d *= d
         dist = d[0]
         for k in range(1, self.dim):
@@ -216,17 +220,6 @@ def rewiring_radius(gamma, n_nodes, dim, alpha):
     return min(gamma * (math.log(n_nodes) / n_nodes) ** (1.0 / dim), alpha)
 
 
-def row_norms(d):
-    """Euclidean norm of each row of ``d`` (n, k), equal bit for bit to
-    ``np.linalg.norm`` of that row.
-
-    A stack of 1 x k by k x 1 products sums in the same order as the dot
-    product ``norm`` takes; ``einsum`` and summed squares differ from it in
-    the last bit on some rows, which can change a parent choice or a rewire.
-    """
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-
-
 def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, on=()):
     """Insert q_new with minimum-cost parent choice and rewiring.
 
@@ -235,55 +228,43 @@ def rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma, phase=0, 
     q_new duplicates a node (lies within ``DUPLICATE_TOL * params.eps`` of
     one) or the initial segment collides.
 
-    One distance pass over the tree (``Tree._distances``) gives both the
-    duplicate test and the neighbours. The duplicate test comes first, so a
-    twin is dropped with no segment check at all: the nodes within
-    ``2 * DUPLICATE_TOL * params.eps`` on that pass are measured again by
-    ``row_norms``, the exact rule. A node that close is ``near_id`` or a
-    neighbour whenever the rewiring radius is at least that filter (it is
-    far larger; with one node, near_id is the only one), so a twin returns
-    None in exactly the cases it would after the first segment check. The
-    distances to the neighbours and ``near_id`` and the costs through them
-    then come from one batched ``row_norms`` pass. The parent search checks
+    One distance pass over the tree (``Tree._distances``) gives the duplicate
+    test, the neighbours and the distances that cost q_new through each of
+    them and ``near_id``; no distance is measured twice. The neighbour
+    bookkeeping runs on Python floats: a neighbour list is short, so list work
+    beats a dozen small numpy calls. The duplicate test comes first, so a twin
+    is dropped with no segment check at all. The parent search checks
     collisions lazily, as OMPL's RRTstar does: the neighbours that would beat
     ``near_id`` are tried in order of (cost through them, id), and the first
     free one is the parent: the cheapest free neighbour, lowest id on ties,
-    found with no more segment checks than checking every improving
-    neighbour in id order. Rewiring then checks, in id order, the neighbours
-    that q_new makes cheaper, except ``near_id``, whose segment is known to be
-    free. No other segment of the parent search comes up again: the parent is
-    not rewired, and a neighbour tried before it costs at most c_min through
-    q_new, so c_min plus its distance to q_new exceeds its cost. So no
-    (node, q_new) segment is checked twice.
+    found with no more segment checks than checking every improving neighbour
+    in id order. Rewiring then checks, in id order, the neighbours that q_new
+    makes cheaper, except ``near_id``, whose segment is known to be free. No
+    other segment of the parent search comes up again: the parent is not
+    rewired, and a neighbour tried before it costs at most c_min through
+    q_new, so c_min plus its distance to q_new exceeds its cost. So no (node,
+    q_new) segment is checked twice.
     """
     q_new = np.asarray(q_new, dtype=float)
-    tol = DUPLICATE_TOL * params.eps
     to_nodes = tree._distances(q_new)
-    close = (to_nodes <= 2.0 * tol).nonzero()[0]
-    if close.size and row_norms(q_new - tree.configs[close]).min() <= tol:
+    if to_nodes.min() <= DUPLICATE_TOL * params.eps:
         return None
     if not segment_free(near_id, q_new):
         return None
     radius = rewiring_radius(gamma, len(tree), tree.dim, params.alpha)
     neighbors = (to_nodes <= radius).nonzero()[0].tolist() if radius > 0 else []
-    ids = neighbors + [near_id]
-    dist = row_norms(q_new - tree.configs[ids])
-    cost = np.fromiter(map(tree.cost.__getitem__, ids), dtype=float, count=len(ids))
-    via = cost + dist  # cost of q_new through each node; near_id's is last
-    nbr = np.array(neighbors, dtype=np.intp)
-    q_min, c_min = near_id, float(via[-1])
-    better = ((via[:-1] < c_min) & (nbr != near_id)).nonzero()[0]
-    for k in better[np.lexsort((nbr[better], via[better]))].tolist():
-        if segment_free(neighbors[k], q_new):
-            q_min, c_min = neighbors[k], float(via[k])
+    dist = to_nodes[neighbors].tolist()
+    cost = tree.cost
+    q_min, c_min = near_id, cost[near_id] + float(to_nodes[near_id])
+    via = [(cost[i] + d, i) for i, d in zip(neighbors, dist)]
+    for c, i in sorted(v for v in via if v[0] < c_min and v[1] != near_id):
+        if segment_free(i, q_new):
+            q_min, c_min = i, c
             break
     new_id = tree.add(q_new, parent=q_min, cost=c_min, phase=phase, on=on)
-    # rewiring only lowers costs, so a neighbour q_new does not improve on
-    # the costs before it is never rewired; the rest are tested again
-    through_new = c_min + dist[:-1]
-    for k in ((through_new < cost[:-1]) & (nbr != q_min)).nonzero()[0].tolist():
-        i, c = neighbors[k], float(through_new[k])
-        if c < tree.cost[i] and (i == near_id or segment_free(i, q_new)):
+    for i, d in zip(neighbors, dist):  # cost[i] is live: an earlier rewire may have lowered it
+        c = c_min + d
+        if c < cost[i] and i != q_min and (i == near_id or segment_free(i, q_new)):
             tree.reparent(i, new_id, c)
     return new_id
 
@@ -437,8 +418,8 @@ def _psm_run(task, params, greedy):
             if new_id is None:
                 continue
             q_new = tree.config(new_id)
-            if norm(evaluate(m_next, q_new)) < params.eps and np.all(
-                    row_norms(q_new - tree.configs[V_goal]) >= params.rho):
+            if norm(evaluate(m_next, q_new)) < params.eps and (
+                    tree._distances(q_new, V_goal) >= params.rho).all():
                 V_goal.append(new_id)
         if not V_goal:
             raise PlanningFailure(phase=i)

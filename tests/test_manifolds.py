@@ -1,4 +1,7 @@
 """Constraint evaluation, projection, tangent bases, and finite differences."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +85,11 @@ class TestProject:
         q0 = np.array([1.0, 0.0, 0.0])
         q = project(q0, Sphere(1.0), eps=1e-6)
         assert np.array_equal(q, q0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_newton_step_fails_without_a_warning(self):
+        # the gradient 2 c q is 5e-161 here, so the quotient h / (g.g) overflows
+        assert project(np.array([1e-160, 0.0, 0.0]), Cylinder(0.25, 1.0), eps=1e-9) is None
 
     def test_zero_jacobian_point_fails(self):
         # the sphere center has a zero gradient; projection cannot progress
@@ -275,25 +283,30 @@ def _point_scene_manifolds():
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 12), st.lists(st.floats(-6, 6), min_size=3, max_size=3),
        st.sampled_from([1e-2, 1e-5, 1e-9]))
 def test_project_converges_wherever_the_pseudo_inverse_projection_did(index, q, eps):
+    # a start near an axis diverges past 1e200; project must end it without a warning
     ms = _point_scene_manifolds()
     m = ms[index % len(ms)]
-    old = _project_pinv(q, m, eps)
+    with np.errstate(all="ignore"):  # the oracle's np.linalg.norm warns when it overflows
+        old = _project_pinv(q, m, eps)
     new = project(q, m, eps)
     if old is not None:
         assert new is not None, m.name
         assert np.linalg.norm(evaluate(m, new)) <= eps
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(v=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
 def test_norm_is_numpy_norm_bit_for_bit(v):
     v = np.array(v, dtype=float)
-    with np.errstate(all="ignore"):  # both warn alike when v.v overflows
-        got, expected = norm(v), np.linalg.norm(v)
+    got = norm(v)  # inf without a warning when v.v overflows
+    with np.errstate(all="ignore"):  # np.linalg.norm warns then
+        expected = np.linalg.norm(v)
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
@@ -391,3 +404,49 @@ def test_constraint_layer_bit_identical_to_stacked_forms(index, data):
         old_h, old_jacobian = type(m).h, type(m).jacobian
     assert _same(m.h(q), old_h(m, q)), m.name
     assert _same(m.jacobian(q), old_jacobian(m, q)), m.name
+
+
+# --- the float kernels of Paraboloid and Cylinder against their numpy-scalar forms ---
+
+
+def _numpy_scalar_h(m, q, square):
+    """h on the numpy scalars ``q[i]``, as it was computed, with ``square`` for the squares."""
+    s = square(q[0]) + square(q[1])
+    if isinstance(m, Paraboloid):
+        return np.array([m.coeff * s + m.offset - q[2]])
+    return np.array([m.coeff * s - m.rhs])
+
+
+def _numpy_scalar_jacobian(m, q):
+    return np.array([[2.0 * m.coeff * q[0], 2.0 * m.coeff * q[1], -1.0 if isinstance(m, Paraboloid) else 0.0]])
+
+
+_QUADRICS = (st.builds(Paraboloid, st.floats(-10, 10), st.floats(-10, 10))
+             | st.builds(Cylinder, st.floats(-10, 10), st.floats(-10, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_QUADRICS, q=st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3))
+def test_quadric_kernels_agree_with_their_numpy_scalar_forms(m, q):
+    q = np.array(q)
+    assert _same(m.jacobian(q), _numpy_scalar_jacobian(m, q))
+    # the forms differ in the squares alone: x * x is correctly rounded, and
+    # numpy's x ** 2 (libm pow) is within 1 ulp of it
+    assert _same(m.h(q), _numpy_scalar_h(m, q, lambda x: x * x))
+    for x in q[:2]:
+        assert abs(x ** 2 - x * x) <= np.spacing(x * x)
+    if all(x ** 2 == x * x for x in q[:2]):
+        assert _same(m.h(q), _numpy_scalar_h(m, q, lambda x: x ** 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_QUADRICS.filter(lambda m: m.coeff != 0.0), big=st.floats(1e155, 1e300), sign=st.sampled_from([-1.0, 1.0]),
+       axis=st.integers(0, 1), others=st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2))
+def test_quadric_kernels_overflow_to_inf_without_a_warning(m, big, sign, axis, others):
+    q = np.array(others[:axis] + [sign * big] + others[axis:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, J = m.h(q), m.jacobian(q)
+    assert h[0] == math.copysign(math.inf, m.coeff)
+    with np.errstate(over="ignore"):
+        assert _same(J, _numpy_scalar_jacobian(m, q))

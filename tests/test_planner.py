@@ -22,7 +22,6 @@ from seqmp.planner import (
     psm_star_single_tree,
     polyline_length,
     rewiring_radius,
-    row_norms,
     rrt_star_ik,
     rrt_star_extend,
     validate_solution,
@@ -361,15 +360,6 @@ def _old_rrt_star_extend(tree, near_id, q_new, segment_free, params, gamma):
     return new_id
 
 
-@settings(deadline=None)
-@given(k=st.integers(1, 8), data=st.data())
-def test_row_norms_equal_scalar_norms_bit_for_bit(k, data):
-    value = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150))
-    d = np.array(data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=30)))
-    want = np.array([np.linalg.norm(row) for row in d])
-    assert row_norms(d).tobytes() == want.tobytes()
-
-
 def _draw_forest_nodes(data, point, n):
     """n (configuration, parent, root cost) triples: node 0 is a root, and each
     later node hangs from an earlier one or, one time in five, is another root,
@@ -384,11 +374,79 @@ def _draw_forest_nodes(data, point, n):
 
 def _forest(nodes):
     """The Tree of ``_draw_forest_nodes`` triples; a node with a parent costs its parent's cost plus the edge."""
-    tree = Tree(2)
+    tree = Tree(len(nodes[0][0]))
     for q, parent, root_cost in nodes:
         cost = root_cost if parent < 0 else tree.cost[parent] + float(np.linalg.norm(q - tree.config(parent)))
         tree.add(q, parent=parent, cost=cost)
     return tree
+
+
+def _points(dim):
+    """Configurations of ``dim`` arbitrary floats, off any grid, so that two
+    distance formulas would part in the last bit on some of them."""
+    return st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim).map(np.array)
+
+
+class TestOneDistanceRule:
+    """``Tree._distances`` is the one distance ``rrt_star_extend`` compares."""
+
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 8), data=st.data())
+    def test_distances_to_some_nodes_are_the_full_pass_bytes(self, dim, data):
+        n = data.draw(st.integers(1, 140))
+        tree = _forest(_draw_forest_nodes(data, _points(dim), n))
+        q = data.draw(_points(dim))
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+        assert tree._distances(q, ids).tobytes() == tree._distances(q)[ids].tobytes()
+
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 8), data=st.data())
+    def test_a_new_node_costs_its_parent_cost_plus_the_pass_distance(self, dim, data):
+        n = data.draw(st.integers(1, 25))
+        tree = _forest(_draw_forest_nodes(data, _points(dim), n))
+        near_id = data.draw(st.integers(0, n - 1))
+        q_new = data.draw(_points(dim))
+        free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        free[near_id] = True
+        to_nodes, cost = tree._distances(q_new), list(tree.cost)
+        # a rewiring radius past the sampling box makes every node a neighbour,
+        # so the parent is often one other than near_id
+        params = PlannerParams(alpha=100.0)
+        new_id = rrt_star_extend(tree, near_id, q_new, lambda i, q: free[i], params, 1e3)
+        if new_id is None:  # a twin
+            assert to_nodes.min() <= planner.DUPLICATE_TOL * params.eps
+            return
+        parent = tree.parent[new_id]
+        assert tree.cost[new_id] == cost[parent] + float(to_nodes[parent])  # exact float equality
+
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 8), data=st.data())
+    def test_a_twin_is_dropped_exactly_when_the_pass_puts_it_within_tol(self, dim, data):
+        params = PlannerParams()
+        tol = planner.DUPLICATE_TOL * params.eps
+        n = data.draw(st.integers(1, 25))
+        tree = _forest(_draw_forest_nodes(data, _points(dim), n))
+        # an offset of up to tol per coordinate puts q_new on either side of tol
+        offset = data.draw(st.lists(st.floats(-tol, tol), min_size=dim, max_size=dim))
+        q_new = tree.config(data.draw(st.integers(0, n - 1))) + np.array(offset)
+        twin = tree._distances(q_new).min() <= tol
+        checks = []
+        new_id = rrt_star_extend(tree, tree.nearest(q_new), q_new, lambda i, q: checks.append(i) or True,
+                                 params, 100.0)
+        assert (new_id is None) == twin
+        if twin:
+            assert checks == [] and len(tree) == n
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_a_node_exactly_tol_away_is_a_twin(self, dim):
+        params = PlannerParams()
+        tol = planner.DUPLICATE_TOL * params.eps
+        for offset, twin in ((tol, True), (np.nextafter(tol, 1.0), False)):
+            tree = Tree(dim)
+            tree.add(np.zeros(dim), parent=-1, cost=0.0)
+            q_new = np.zeros(dim)
+            q_new[-1] = offset
+            assert (rrt_star_extend(tree, 0, q_new, FREE, params, 100.0) is None) == twin
 
 
 class TestDelayedParentCheck:
@@ -765,8 +823,7 @@ def _seeds(tree):
 
 def _twins(tree, tol):
     """Ids of the nodes that lie within ``tol`` of an earlier node of ``tree``."""
-    configs = tree.configs
-    return [i for i in range(1, len(tree)) if row_norms(configs[:i] - configs[i]).min() <= tol]
+    return [i for i in range(1, len(tree)) if tree._distances(tree.config(i))[:i].min() <= tol]
 
 
 class TestInvariants:
