@@ -18,7 +18,7 @@ extend skips the work whose outcome is already fixed:
   before its first segment check, on the one distance pass
   (``Tree._distances``) that also gives the neighbours and the costs through
   them, and checks each (node, q_new) segment at most once;
-- a segment shorter than the sum of its endpoints' clearance radii
+- a robot segment shorter than the sum of its endpoints' clearance radii
   (``Task.clearance``, computed once per configuration and free space) is
   free without the sampled test (``_CertifiedCheck``).
 
@@ -356,13 +356,14 @@ def _psm_steering(run):
 
 
 class _CertifiedCheck:
-    """The segment check of one free space ``fs``, which skips the sampled
-    test where the endpoints' safety certificates (``Task.clearance``) prove
-    the segment free: every point of a segment shorter than r_a + r_b lies
-    within r_a of a or within r_b of b. The certificate answers "free" only
-    where the sampled test does too, so every verdict is the sampled test's.
-    Each configuration's radius is computed once, keyed on its bytes, so a
-    q_new's radius serves it again once it is a node."""
+    """The segment check of one free space ``fs``. A point segment goes
+    straight to the exact test. A robot segment skips the sampled test where
+    the endpoints' safety certificates (``Task.clearance``) prove it free:
+    every point of a segment shorter than r_a + r_b lies within r_a of a or
+    within r_b of b. The certificate answers "free" only where the sampled
+    test does too, so every verdict is the sampled test's. Each radius is
+    computed once, keyed on the configuration's bytes, so a q_new's radius
+    serves it again once it is a node."""
 
     def __init__(self, task, fs):
         self.task, self.fs, self.radius = task, fs, {}
@@ -375,10 +376,11 @@ class _CertifiedCheck:
         return r
 
     def __call__(self, qa, qb):
-        d = norm(qb - qa)
-        r_a = self.clearance(qa)
-        if d < r_a or d < r_a + self.clearance(qb):  # b's radius only when a's does not cover it
-            return True
+        if self.task.system is not None:
+            d = norm(qb - qa)
+            r_a = self.clearance(qa)
+            if d < r_a or d < r_a + self.clearance(qb):  # b's radius only when a's does not cover it
+                return True
         return self.task.segment_free(qa, qb, self.fs)
 
 
@@ -522,6 +524,14 @@ def psm_star_single_tree(task, params):
     return _single_tree_path(tree, min(goals, key=lambda g: (tree.cost[g], g)), n)
 
 
+def _goal_links(tree, goal, alpha, check):
+    """[(``Tree._distances`` to goal, node)] for each node within alpha of ``goal``
+    whose step to it is free, in insertion order with the root last."""
+    to_goal = tree._distances(goal).tolist()
+    return [(to_goal[j], j) for j in [*range(1, len(tree)), 0]
+            if to_goal[j] <= alpha and check(tree.config(j), goal)]
+
+
 def rrt_star_ik(task, params):
     """Per-manifold baseline: fix an intersection goal by random-sample IK,
     then run goal-directed RRT* on the current manifold toward it."""
@@ -560,23 +570,13 @@ def rrt_star_ik(task, params):
         check = _CertifiedCheck(task, fs)
         segment_free = _segment_free_in(check, tree)
 
-        def goal_link(node):
-            """[(distance to the goal, node)] if node is a free step from it, else []."""
-            gd = norm(tree.config(node) - goal)
-            if gd <= params.alpha and check(tree.config(node), goal):
-                return [(gd, node)]
-            return []
-
-        links = []
         for _ in range(params.m):
             q_rand = goal if run.rng.random() < IK_GOAL_BIAS else run.uniform()
-            new_id = run.extend(tree, q_rand, steer, segment_free)
-            if new_id is not None:
-                links += goal_link(new_id)
-        links += goal_link(0)  # the start itself may already connect to the goal
+            run.extend(tree, q_rand, steer, segment_free)
+        links = _goal_links(tree, goal, params.alpha, check)  # the start itself may already connect
         if not links:
             raise PlanningFailure(phase=i, message=f"no path to the IK goal in phase {i}")
-        # rewiring lowers node costs after they are linked, so cost the links now; first of equal costs
+        # links are costed once the tree is grown, since rewiring lowers costs; first of equal costs
         chain = tree.path_to_root(min(links, key=lambda link: tree.cost[link[1]] + link[0])[1])
         segments.append([tree.config(j) for j in reversed(chain)] + [goal])
         fs = task.advance_free_space(fs, i, goal)
@@ -601,6 +601,10 @@ def validate_solution(task, path, params):
     if valid). A path with a non-finite vertex gets only the "not finite"
     violations: a NaN makes every later comparison come out False, so each
     of those tests would pass it.
+
+    Edges are checked with the planner's ``Task.segment_free``: exact on
+    point scenes, but on robot scenes still the sampled test, which accepts
+    an edge that crosses a box between two sampled configurations.
     """
     violations = []
     eps = params.eps * (1.0 + 1e-9) + 1e-12

@@ -5,7 +5,8 @@ The free configuration space is represented by a set of axis-aligned boxes
 plus attachment records for objects currently carried by a robot body. A
 TransitionRule describes how the free space changes when a manifold
 intersection is reached (attach/detach of objects). FreeSpaceState is an
-immutable value; transitions return new states. ``Task.clearance`` gives a
+immutable value; transitions return new states. A point segment's check is
+exact; a robot segment's is sampled, and ``Task.clearance`` gives a robot
 configuration's safety certificate: a radius within which every configuration
 is free, so a segment covered by its endpoints' radii needs no sampled test.
 
@@ -21,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import ge, le
+from operator import lt, sub
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class FreeSpaceState:
     @cached_property
     def boxes(self):
         """The obstacles' (min, max) corners as tuples of Python floats, for
-        the broad phase of ``collision_free_segment``."""
+        the exact point-scene segment test of ``collision_free_segment``."""
         return tuple((tuple(map(float, ob.min_corner)), tuple(map(float, ob.max_corner)))
                      for ob in self.obstacles)
 
@@ -199,59 +200,59 @@ def _squared_box_distances(points, fs):
     return gap.sum(axis=2)
 
 
-def _distance_to_boxes(x, boxes):
-    """Euclidean distance from the point ``x`` (a list of floats) to the
-    nearest of ``boxes`` (``FreeSpaceState.boxes``); 0 inside or on a box. A
-    plain Python loop over a few boxes is faster here than a numpy broadcast."""
-    best = math.inf
+def _segment_free_of_boxes(a, b, boxes):
+    """Whether the segment from ``a`` to ``b`` (lists of floats) misses the open
+    interior of every box of ``boxes`` (``FreeSpaceState.boxes``), by the slab
+    test (Williams et al., JGT 2005): along each axis, the t with a + t (b - a)
+    in a box's slab form an open interval, and the segment meets the box where
+    they and [0, 1] share a t. Touching a face, edge or corner is free, as for
+    ``point_free``; a non-finite endpoint is not. The endpoints are sorted
+    first, so the verdict is the same bits either way round: the planner checks
+    a rewired edge child first, ``validate_solution`` parent first."""
+    a, b = sorted((a, b))
+    d = list(map(sub, b, a))
+    if not math.isfinite(sum(d)):
+        return False
     for lo, hi in boxes:
-        s = 0.0
-        for xi, l, h in zip(x, lo, hi):
-            g = l - xi if xi < l else xi - h if xi > h else 0.0
-            s += g * g
-        best = min(best, s)
-    return math.sqrt(best)
-
-
-def _segment_clear_of_boxes(qa, qb, boxes):
-    """True when the box spanned by ``qa`` and ``qb``, inflated by a rounding
-    margin, overlaps no obstacle box, which proves every interpolated point
-    free; False when it may overlap one.
-
-    The points qa + t (qb - qa) lie within a few ulps of that box, far inside
-    the margin. The margin sums every |coordinate|, so a NaN or infinite
-    endpoint overlaps every box and is left to the sampled test. A plain
-    Python loop over a few boxes is faster here than a numpy broadcast.
-    """
-    a, b = qa.tolist(), qb.tolist()
-    pad = 1e-9 * (1.0 + sum(map(abs, a)) + sum(map(abs, b)))
-    lo = [x - pad for x in map(min, a, b)]
-    hi = [x + pad for x in map(max, a, b)]
-    for bmin, bmax in boxes:
-        if not (any(map(ge, lo, bmax)) or any(map(le, hi, bmin))):
+        t_in, t_out = 0.0, 1.0
+        for x, dx, l, h in zip(a, d, lo, hi):
+            if dx == 0.0:
+                if not l < x < h:
+                    break
+                continue
+            t0, t1 = ((l - x) / dx, (h - x) / dx) if dx > 0.0 else ((h - x) / dx, (l - x) / dx)
+            if t0 > t_in:
+                t_in = t0
+            if t1 < t_out:
+                t_out = t1
+            if t_in >= t_out:
+                break
+        else:
+            return False
+        # rounding keeps each bound of a slab holding b on its side of t = 1: a hit at b is missed only at t_in == 1
+        if t_in == 1.0 and all(map(lt, lo, b)) and all(map(lt, b, hi)):
             return False
     return True
 
 
 def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None):
-    """Straight-line ambient segment check at interpolation spacing <= step.
-
-    The interpolation set is symmetric in (qa, qb), so the check commutes.
-    A point segment whose endpoint box clears every obstacle is free without
-    interpolating (``_segment_clear_of_boxes``); that broad phase answers
-    "free" only where the sampled test does too.
-    """
+    """Whether the straight segment from ``qa`` to ``qb`` is free in ``fs``:
+    exactly for a point (``system`` None; ``step`` unused), and for a robot at
+    configurations interpolated at spacing <= step, a set symmetric in (qa, qb).
+    A segment of non-finite length is not free."""
     if step <= 0:
         raise ValueError("step must be positive")
     qa = np.asarray(qa, dtype=float)
     qb = np.asarray(qb, dtype=float)
     if qa.shape != qb.shape:
         raise ValueError("segment endpoints must have the same dimension")
+    if system is None:
+        return _segment_free_of_boxes(qa.tolist(), qb.tolist(), fs.boxes)
+    dist = norm(qb - qa)
+    if not math.isfinite(dist):
+        return False
     if not fs.obstacles:
         return True
-    if system is None and _segment_clear_of_boxes(qa, qb, fs.boxes):
-        return True
-    dist = norm(qb - qa)
     n = max(1, int(np.ceil(dist / step)))
     ts = np.arange(n + 1) * (1.0 / n)  # np.linspace(0, 1, n + 1), without its overhead
     ts[-1] = 1.0
@@ -310,35 +311,30 @@ class Task:
         return point_free(collision_points(q, fs, self.system), fs)
 
     def clearance(self, q, fs):
-        """A safety certificate of q in ``fs``: a radius r such that every
-        configuration within r of q (and within the joint limits) keeps all
-        the points ``collision_free_segment`` samples outside every obstacle.
-        So a segment shorter than the sum of its endpoints' radii is free, and
-        the sampled test would find it free (Bialkowski et al., "Efficient
-        collision checking in sampling-based motion planning via safety
-        certificates", IJRR 2016).
+        """A safety certificate of q in ``fs``, robot scenes only: a radius r
+        such that every configuration within r of q (and within the joint
+        limits) keeps all the points ``collision_free_segment`` samples
+        outside every obstacle. So a segment shorter than the sum of its
+        endpoints' radii is free, and the sampled test would find it free
+        (Bialkowski et al., "Efficient collision checking in sampling-based
+        motion planning via safety certificates", IJRR 2016).
 
-        A point scene's r is the distance from q to the nearest box. A robot
-        scene's is the minimum over the sample points p_k (joint frames, link
+        r is the minimum over the sample points p_k (joint frames, link
         midpoints and carried-object centres, from the chains' cached FK
         passes) of p_k's distance to the nearest box over Λ_k, the system's
-        bound on |∂p_k/∂q|₂. Either is shrunk by ``CLEARANCE_MARGIN``, and is
-        never negative; it is infinite when ``fs`` holds no obstacle, and 0
-        for a q that is not finite.
+        bound on |∂p_k/∂q|₂, shrunk by ``CLEARANCE_MARGIN``, and never
+        negative; it is infinite when ``fs`` holds no obstacle, and 0 for a q
+        that is not finite.
         """
         q = np.asarray(q, dtype=float)
-        x = q.tolist()
-        if not math.isfinite(sum(x)):
+        if not math.isfinite(sum(q.tolist())):
             return 0.0
         if not fs.obstacles:
             return math.inf
-        if self.system is None:
-            r = _distance_to_boxes(x, fs.boxes)
-        else:
-            frame_map, offsets, weights = self._sample_map(fs.attachments)
-            points = frame_map @ self.system.cached_frames(q)
-            points += offsets
-            r = math.sqrt((_squared_box_distances(points, fs) * weights).min())
+        frame_map, offsets, weights = self._sample_map(fs.attachments)
+        points = frame_map @ self.system.cached_frames(q)
+        points += offsets
+        r = math.sqrt((_squared_box_distances(points, fs) * weights).min())
         return max(0.0, r - CLEARANCE_MARGIN)
 
     @cached_property
@@ -568,7 +564,6 @@ SCENES["point3d_free"] = {
     "start": [3.5, 3.5, 4.45],  # on the first paraboloid: 0.1 * 3.5^2 * 2 + 2 = 4.45
     "obstacles": [],
     "transitions": [],
-    "collision_step": 0.05,
     "profile": "point",
     "manifolds": [
         {"type": "paraboloid", "name": "paraboloid_up", "params": {"coeff": 0.1, "offset": 2.0}},
@@ -606,7 +601,6 @@ SCENES["plane_cylinder_point"] = {
     "start": [-2.0, 0.0, 0.0],
     "obstacles": [],
     "transitions": [],
-    "collision_step": 0.05,
     "profile": "point",
     "manifolds": [
         {"type": "plane", "name": "plane_z0", "params": {"A": [[0.0, 0.0, 1.0]], "b": [0.0]}},
@@ -658,9 +652,10 @@ SCENES["transport_b_mini"] = {
     "ambient_dim": 8,
     "bounds": [[-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2],
                [-np.pi, np.pi], [-2.2, 2.2], [-2.2, 2.2], [-1.0, 1.0], [-1.0, 1.0]],
-    # arm1, arm2, tray. arm1 starts at the elbow-flipped grasp of the object;
-    # the upright solution (0.5, -0.6, 0.6) reaches the same point with zero tilt.
-    "start": [0.5, 0.0, -0.6, 2.5, 0.4, 0.4, 0.5, -0.5],
+    # arm1, arm2, tray. arm1 starts upright, its tool at the grasp of the object
+    # with zero tilt; the elbow-flipped (0.5, 0.0, -0.6) reaches the same point
+    # with a link inside obj1.
+    "start": [0.5, -0.6, 0.6, 2.5, 0.4, 0.4, 0.5, -0.5],
     "obstacles": [
         # obj1: half-extent 0.04, its centre 2 cm plus that half-extent below the pick target
         {"min": [0.05075308209686972, 0.3100450041246027, 0.3258569893580142],

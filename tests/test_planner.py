@@ -301,6 +301,17 @@ def test_validator_reports_vertices_outside_the_joint_limits():
     assert validate_solution(task(((0.0, 1.0), (-2.0, 2.0))), path, params) == []  # a limit is inclusive
 
 
+def test_validator_rejects_a_point_edge_that_clips_a_box_between_sampled_points():
+    # the edge from the start to the goal runs inside the box for x in
+    # (1.001, 1.009), between the configurations 0.05 apart that a sampled test checks
+    box = ObstacleAABB((1.001, -5.0, -1.0), (5.0, 1.009, 1.0))
+    task = Task(name="clip", manifolds=(AffinePlane([[0.0, 0.0, 1.0]], [0.0]), PointGoal((2.0, 2.0, 0.0))),
+                q_start=(0.0, 0.0, 0.0), bounds=((-4.0, 4.0),) * 3, free_space=FreeSpaceState(obstacles=(box,)))
+    configs = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]])
+    path = planner.SolutionPath(configs, [], polyline_length(configs))
+    assert validate_solution(task, path, PlannerParams()) == ["segment 0 edge 0: collides"]
+
+
 def _old_parent_search(tree, near_id, q_new, neighbors, free):
     """The eager parent search: check every neighbour that beats the running minimum, in id order.
 
@@ -983,6 +994,24 @@ def test_ik_goal_connection_is_cheapest_after_rewiring(recorded_trees):
             min(tree.cost[j] + gd for gd, j in links), abs=1e-9)
         stale += sum(tree.cost[j] < tree.added[j][1] for _, j in links)
     assert stale  # some linked node did get cheaper after it was linked
+
+
+def test_ik_goal_links_measure_with_the_tree_distance():
+    # node 1 lies at a distance from the goal that the BLAS norm rounds one
+    # ulp apart: the link carries the coordinate-order sum, as every distance
+    # the planner compares
+    rng = np.random.default_rng(5)
+    goal = np.zeros(3)
+    q = next(v for v in rng.uniform(-0.5, 0.5, (2000, 3))
+             if np.linalg.norm(v) != math.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]))
+    tree = Tree(3)
+    tree.add(np.full(3, 0.1), parent=-1, cost=0.0)
+    tree.add(q, parent=0, cost=1.0)
+    tree.add(np.full(3, 2.0), parent=0, cost=1.0)  # farther than alpha
+    links = planner._goal_links(tree, goal, 1.0, lambda a, b: True)
+    assert [j for _, j in links] == [1, 0]  # the root last
+    assert links[0][0] == tree._distances(goal, [1])[0] != np.linalg.norm(q - goal)
+    assert planner._goal_links(tree, goal, 1.0, lambda a, b: b is not goal) == []
 
 
 class TestPlannerParamsValidation:
