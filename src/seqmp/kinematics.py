@@ -10,7 +10,9 @@ Control, ch. 3). Each chain caches its last ``FK_CACHE_SIZE`` FK passes, so
 the value and the Jacobian of a constraint at one configuration share one
 pass, and a configuration evaluated again (a node steered from twice, a
 projection that lands on a node) costs a lookup; the constraints read the
-tool point, R and the joint axes straight from that pass. Collision
+tool point, R and the joint axes straight from that pass. That scalar pass
+runs on Python floats, since numpy costs more than the arithmetic on 3 x 3
+arrays, and agrees with the numpy forms to rounding. Collision
 sample points of a batch of configurations come from one batched pass over
 all of them, which builds every joint rotation of the batch in one broadcast.
 Both passes start at the first joint instead of multiplying by the identity
@@ -36,16 +38,30 @@ FK_CACHE_SIZE = 512
 
 
 def _rotation(axis, angle):
-    """Rotation matrix about a unit axis (Rodrigues); ``axis`` is a tuple of
-    three floats and ``angle`` a float, so every entry is Python float arithmetic."""
+    """Rotation matrix about a unit axis (Rodrigues) as nine floats, row by
+    row; ``axis`` is a tuple of three floats and ``angle`` a float."""
     x, y, z = axis
     c, s = math.cos(angle), math.sin(angle)
     C = 1.0 - c
-    return np.array([
-        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
-        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
-        [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
-    ])
+    return (c + x * x * C, x * y * C - z * s, x * z * C + y * s,
+            y * x * C + z * s, c + y * y * C, y * z * C - x * s,
+            z * x * C - y * s, z * y * C + x * s, c + z * z * C)
+
+
+def _apply(R, v):
+    """R v, R as nine floats row by row and v three floats, summed left to right."""
+    a, b, c, d, e, f, g, h, i = R
+    x, y, z = v
+    return a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
+
+
+def _product(A, B):
+    """A B of 3 x 3 matrices given as nine floats row by row, summed left to right."""
+    a, b, c, d, e, f, g, h, i = A
+    j, k, l, m, n, o, p, q, r = B
+    return (a * j + b * m + c * p, a * k + b * n + c * q, a * l + b * o + c * r,
+            d * j + e * m + f * p, d * k + e * n + f * q, d * l + e * o + f * r,
+            g * j + h * m + i * p, g * k + h * n + i * q, g * l + h * o + i * r)
 
 
 _I3 = np.eye(3)
@@ -103,12 +119,15 @@ class SerialChain:
         object.__setattr__(self, "_all_revolute", bool(self._revolute.all()))
         rev = np.flatnonzero(self._revolute)
         axes = [np.asarray(j.axis, dtype=float) for j in self.joints]
-        # per joint (origin, axis, axis as floats for _rotation, index of its
-        # rotation among the revolute joints or None for a prismatic joint)
+        # per joint (origin, axis, index of its rotation among the revolute
+        # joints or None for a prismatic joint); fk_frames reads them as Python
+        # floats, (origin, axis, is revolute) per joint, and (base, tool)
         index = dict(zip(rev.tolist(), range(len(rev))))
         object.__setattr__(self, "_terms", tuple(
-            (np.asarray(j.origin, dtype=float), a, tuple(a.tolist()), index.get(i))
-            for i, (j, a) in enumerate(zip(self.joints, axes))))
+            (np.asarray(j.origin, dtype=float), a, index.get(i)) for i, (j, a) in enumerate(zip(self.joints, axes))))
+        object.__setattr__(self, "_float_terms", tuple((tuple(o.tolist()), tuple(a.tolist()), k is not None)
+                                                       for o, a, k in self._terms))
+        object.__setattr__(self, "_float_ends", (tuple(self._base.tolist()), tuple(self._tool.tolist())))
         # for the batched pass: the revolute columns of Q and their angle-free
         # Rodrigues terms [a]x and a a^T, stacked (r, 3, 3), built once
         object.__setattr__(self, "_rev_cols", rev)
@@ -166,6 +185,9 @@ class SerialChain:
         joint's world axis w_j = R_{j-1} axis_j, the rotation or sliding
         direction the geometric Jacobian needs.
 
+        The pass runs on Python floats, a joint rotation as nine of them, each
+        R v and R R' summed left to right; only the finished pass becomes arrays.
+
         Results are cached per chain, keyed on the bytes of q, for the last
         ``FK_CACHE_SIZE`` configurations, so evaluating a constraint and its
         Jacobian at one q runs FK once. The returned arrays are the cached
@@ -177,28 +199,22 @@ class SerialChain:
         out = cache.get(key)
         if out is not None:
             return out
-        pts = np.empty((self.dof + 2, 3))
-        axes = np.empty((self.dof, 3))
-        p = pts[0] = self._base
-        R = None  # the base frame, the identity, until the first revolute joint
-        for j, ((origin, axis, unit, k), qi) in enumerate(zip(self._terms, q.tolist())):
-            if R is None:  # a product by the identity gives the same values: skip it
-                p = p + origin
-                axes[j] = axis
-                if k is None:
-                    p = p + axis * qi
-                else:
-                    R = _rotation(unit, qi)
+        (px, py, pz), tool = self._float_ends
+        pts, axes = [px, py, pz], []
+        R = None  # the base frame, the identity, until the first revolute joint: no product by it
+        for (origin, axis, revolute), qi in zip(self._float_terms, q.tolist()):
+            (ox, oy, oz), (wx, wy, wz) = (origin, axis) if R is None else (_apply(R, origin), _apply(R, axis))
+            px, py, pz = px + ox, py + oy, pz + oz
+            axes += (wx, wy, wz)
+            if revolute:
+                R = _rotation(axis, qi) if R is None else _product(R, _rotation(axis, qi))
             else:
-                p = p + R @ origin
-                axes[j] = R @ axis
-                if k is None:
-                    p = p + R @ (axis * qi)
-                else:
-                    R = R @ _rotation(unit, qi)
-            pts[j + 1] = p
-        pts[-1] = p + (self._tool if R is None else R @ self._tool)
-        out = (pts, _I3 if R is None else R, axes)
+                px, py, pz = px + wx * qi, py + wy * qi, pz + wz * qi
+            pts += (px, py, pz)
+        ox, oy, oz = tool if R is None else _apply(R, tool)
+        pts += (px + ox, py + oy, pz + oz)
+        out = (np.array(pts).reshape(-1, 3), _I3 if R is None else np.array(R).reshape(3, 3),
+               np.array(axes).reshape(-1, 3))
         for a in out:
             a.flags.writeable = False
         cache[key] = out
@@ -224,7 +240,7 @@ class SerialChain:
         out = np.empty((Q.shape[0], self.dof + 2, 3))
         p = out[:, 0] = self._base
         R = None  # the identity, until the first revolute joint
-        for j, (origin, axis, _, k) in enumerate(self._terms):
+        for j, (origin, axis, k) in enumerate(self._terms):
             if R is None:  # a product by the identity gives the same values: skip it
                 p = p + origin
                 if k is None:

@@ -32,7 +32,8 @@ A planner is a choice of policies on top of that core:
   spacing) apart all seed the next subtree (``psm``) or only the cheapest
   does (``psm-greedy``), the goal-manifold nodes of one tree over the whole
   sequence (``psm-single``), or the cheapest connection to the IK goal
-  (``rrtstar-ik``).
+  (``rrtstar-ik``). PSM*'s "cheapest" (``_cheapest``) is the lowest id among
+  costs a few ulps apart, so their last bits do not pick the node.
 
 Every planner is deterministic for a fixed (task, params, seed).
 """
@@ -53,6 +54,8 @@ IK_GOAL_BIAS = 0.1
 DUPLICATE_TOL = 1e-6
 # the steer-memo key under which ``_Run.extend`` marks the kept results it has handed out
 _HANDED_OUT = "handed_out"
+# goal and seed costs this many ulps of the least or fewer above it tie with it (``_cheapest``)
+COST_TIE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -401,6 +404,12 @@ def _stitch(segments):
     return SolutionPath(configs=configs, segment_bounds=bounds, total_cost=polyline_length(configs))
 
 
+def _cheapest(tree, ids):
+    """The lowest id of ``ids`` whose cost is at most ``COST_TIE_ULPS`` ulps above their least."""
+    best = min(tree.cost[g] for g in ids)
+    return min(g for g in ids if tree.cost[g] <= best + COST_TIE_ULPS * math.ulp(best))
+
+
 def _psm_run(task, params, greedy):
     run = _Run(task, params)
     steer = _psm_steering(run)
@@ -428,7 +437,7 @@ def _psm_run(task, params, greedy):
         fs = task.advance_free_space(fs, i, tree.config(V_goal[0]))
         trees.append(tree)
         if i < n - 1:
-            seeds = [min(V_goal, key=lambda g: (tree.cost[g], g))] if greedy else V_goal
+            seeds = [_cheapest(tree, V_goal)] if greedy else V_goal
             next_tree, src = Tree(task.ambient_dim), {}
             for g in seeds:
                 src[next_tree.add(tree.config(g), parent=-1, cost=tree.cost[g], phase=i + 1)] = g
@@ -436,7 +445,7 @@ def _psm_run(task, params, greedy):
             tree = next_tree
 
     # walk back from the cheapest goal node, tree by tree, through each subtree's seed (a root)
-    nid = min(V_goal, key=lambda g: (tree.cost[g], g))
+    nid = _cheapest(tree, V_goal)
     segments = []
     for t in reversed(range(n)):
         chain = trees[t].path_to_root(nid)
@@ -521,7 +530,7 @@ def psm_star_single_tree(task, params):
                 goals.append(new_id)
     if not goals:
         raise PlanningFailure(phase=n - 1, message="goal manifold never reached")
-    return _single_tree_path(tree, min(goals, key=lambda g: (tree.cost[g], g)), n)
+    return _single_tree_path(tree, _cheapest(tree, goals), n)
 
 
 def _goal_links(tree, goal, alpha, check):

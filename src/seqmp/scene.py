@@ -248,6 +248,8 @@ def collision_free_segment(qa, qb, fs, step=DEFAULT_COLLISION_STEP, system=None)
         raise ValueError("segment endpoints must have the same dimension")
     if system is None:
         return _segment_free_of_boxes(qa.tolist(), qb.tolist(), fs.boxes)
+    if not all(map(math.isfinite, qa.tolist() + qb.tolist())):  # inf - inf would warn in the subtraction
+        return False
     dist = norm(qb - qa)
     if not math.isfinite(dist):
         return False
@@ -324,8 +326,10 @@ class Task:
         passes) of p_k's distance to the nearest box over Λ_k, the system's
         bound on |∂p_k/∂q|₂, shrunk by ``CLEARANCE_MARGIN``, and never
         negative; it is infinite when ``fs`` holds no obstacle, and 0 for a q
-        that is not finite.
+        that is not finite. A point scene has no certificate: ValueError.
         """
+        if self.system is None:
+            raise ValueError(f"clearance is defined for robot scenes only, not the point scene {self.name!r}")
         q = np.asarray(q, dtype=float)
         if not math.isfinite(sum(q.tolist())):
             return 0.0

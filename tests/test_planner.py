@@ -1014,6 +1014,22 @@ def test_ik_goal_links_measure_with_the_tree_distance():
     assert planner._goal_links(tree, goal, 1.0, lambda a, b: b is not goal) == []
 
 
+def test_cheapest_takes_the_lowest_id_among_costs_a_few_ulps_apart():
+    # node 2 is one ulp cheaper than node 1, so a plain (cost, id) minimum
+    # takes node 2; costs that close tie, and the lower id wins
+    tree = Tree(1)
+    tree.add(np.zeros(1), parent=-1, cost=0.0)
+    for cost in (math.nextafter(4.5, 5.0), 4.5, 4.5 + 1e-9, 4.4):
+        tree.add(np.zeros(1), parent=0, cost=cost)
+    assert min([1, 2], key=lambda g: (tree.cost[g], g)) == 2
+    assert planner._cheapest(tree, [1, 2]) == planner._cheapest(tree, [2, 1]) == 1
+    assert planner._cheapest(tree, [2, 3]) == 2  # 1e-9 is far more than a few ulps
+    assert planner._cheapest(tree, [1, 2, 3, 4]) == 4  # a clearly cheaper node still wins
+    far = 4.5 + (planner.COST_TIE_ULPS + 1) * math.ulp(4.5)
+    tree.cost[1] = far
+    assert planner._cheapest(tree, [1, 2]) == 2
+
+
 class TestPlannerParamsValidation:
     @given(name=st.sampled_from(["alpha", "beta", "eps", "rho", "r"]),
            value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))

@@ -177,9 +177,12 @@ def test_swapped_endpoints_give_the_same_verdict(case):
     assert collision_free_segment(qa, qb, fs) == collision_free_segment(qb, qa, fs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["point3d_obstacles", "transport_a_mini"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_endpoint_is_not_free(name, bad):
+    # one non-finite endpoint, then both non-finite in one coordinate
+    # (equal infinities, opposite ones): each is "not free", with no warning
     task = build_benchmark_scene(name)
     qa = task.start()
     qb = qa.copy()
@@ -187,6 +190,11 @@ def test_a_non_finite_endpoint_is_not_free(name, bad):
     assert task.segment_free(qa, qa, task.free_space)
     assert not task.segment_free(qa, qb, task.free_space)
     assert not task.segment_free(qb, qa, task.free_space)
+    for other in (bad, -bad):
+        qc = qa.copy()
+        qc[1] = other
+        assert not task.segment_free(qb, qc, task.free_space)
+        assert not task.segment_free(qc, qb, task.free_space)
 
 
 def _contains_oracle(points, fs):
@@ -584,3 +592,9 @@ def test_robot_clearance_counts_the_carried_object(name):
     fs = FreeSpaceState(obstacles=carried.obstacles + (near,), attachments=carried.attachments)
     assert task.config_free(q, fs)
     assert 0.0 < task.clearance(q, fs) <= 0.01 / task.system.speed_bounds[task.system.tool_rows[rec.body]]
+
+
+def test_clearance_of_a_point_scene_is_a_named_error():
+    task = build_benchmark_scene("point3d_obstacles")
+    with pytest.raises(ValueError, match="robot scenes only"):
+        task.clearance(task.start(), task.free_space)
