@@ -2,11 +2,14 @@
 
 A manifold is the zero level set of a smooth map h: R^k -> R^l with l <= k.
 All operations are pure functions on immutable manifold objects, so they are
-safe to share between planner runs.
+safe to share between planner runs. Projection and steering run a one-row
+constraint on Python floats through its ``residual`` and ``residual_gradient``,
+since on a short vector numpy's per-call overhead costs more than the arithmetic.
 """
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -19,9 +22,9 @@ DIVERGENCE_PATIENCE = 10
 class Manifold:
     """Base class for an implicit constraint h(q) = 0.
 
-    Subclasses must set ``ambient_dim`` and ``codim`` and implement ``h``
-    and its analytic ``jacobian``; ``fd_jacobian`` is the finite-difference
-    check of the latter.
+    Subclasses must set ``ambient_dim`` and ``codim`` and implement ``h`` and its analytic
+    ``jacobian`` (``fd_jacobian`` is the finite-difference check of the latter); a one-row
+    subclass of ``FloatRow`` implements ``residual_gradient`` instead.
     """
 
     name = "manifold"
@@ -42,6 +45,15 @@ class Manifold:
     def jacobian(self, q):
         raise NotImplementedError
 
+    def residual(self, xs):
+        """h of a one-row constraint at the k floats ``xs``, as a float; here read from ``h``."""
+        return float(evaluate(self, np.array(xs, dtype=float))[0])
+
+    def residual_gradient(self, xs):
+        """(h, g) of a one-row constraint at the k floats ``xs``, as floats; here read from ``h`` and ``jacobian``."""
+        q = np.array(xs, dtype=float)
+        return float(evaluate(self, q)[0]), np.asarray(self.jacobian(q), dtype=float)[0].tolist()
+
     def __repr__(self):
         return f"{type(self).__name__}(k={self.ambient_dim}, l={self.codim}, name={self.name!r})"
 
@@ -52,6 +64,11 @@ def norm(v):
     ``np.vdot`` raises no floating-point warning: past the float range the
     norm is inf, silently."""
     return math.sqrt(np.vdot(v, v))
+
+
+def dot(a, b):
+    """a.b of two sequences of floats, summed on Python floats by the built-in ``sum``."""
+    return sum(map(operator.mul, a, b))
 
 
 def evaluate(m, q):
@@ -83,67 +100,73 @@ def fd_jacobian(m, q, step=1e-5):
 def newton_step(J, h):
     """Minimum-norm solution s of J s = h, the step ``pinv(J, rcond=SV_TOL) @ h``.
 
-    A one-row J = g^T gives the closed form g (g.h) / (g.g), zero when
-    g = 0, and inf where the quotient overflows. More rows go to LAPACK's
-    least squares (gelsd), which drops the singular values <= SV_TOL times
+    LAPACK's least squares (gelsd) drops the singular values <= SV_TOL times
     the largest, the cut-off pinv uses, so overdetermined stacks and singular
     poses take the same step.
     """
-    if J.shape[0] == 1:
-        g = J[0]
-        gg = float(g @ g)
-        if gg == 0.0:
-            return np.zeros_like(g)
-        s = float(h[0]) / gg  # on Python floats an overflow gives inf, not a warning
-        return g * s if math.isfinite(s) else np.full_like(g, math.inf)
     return np.linalg.lstsq(J, h, rcond=SV_TOL)[0]
 
 
-def tangent_component(g, d):
-    """Projection of d onto the tangent space null(g^T) of a one-row constraint.
+def _residual(m, x):
+    """||h|| at x and h itself: on floats for one row (x a list), else on arrays."""
+    if m.codim == 1:
+        h = m.residual(x)
+        return abs(h), h  # |h| is what sqrt(h h) rounds to for a normal float h
+    res = evaluate(m, x)
+    return norm(res), res
 
-    Returns d - g (g.d) / (g.g), or d itself when g = 0: the vector B B^T d
-    that the basis B of ``tangent_nullspace`` gives, without building B.
-    """
-    gg = g @ g
-    if gg == 0.0:
-        return d
-    return d - g * ((g @ d) / gg)
+
+def residual_norm(m, q):
+    """||h(q)|| of a configuration array q, on floats for one row (``_residual``)."""
+    return _residual(m, q.tolist() if m.codim == 1 else q)[0]
+
+
+def _newton(m, x, res):
+    """The Newton iterate after x, None off the finite floats: g h / (g.g) on floats for one row, else ``newton_step``."""
+    if m.codim == 1:
+        _, g = m.residual_gradient(x)
+        gg = dot(g, g)
+        s = res / gg if gg else 0.0  # zero when g = 0; an overflow gives inf, not a warning
+        x = [xi - gi * s for xi, gi in zip(x, g)]
+        return x if all(map(math.isfinite, x)) else None
+    try:
+        x = x - newton_step(np.asarray(m.jacobian(x), dtype=float), res)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
 
 
 def project(q, m, eps):
     """Newton-style projection of ``q`` onto the manifold ``m``.
 
     Iterates q <- q - s with s the minimum-norm solution of J(q) s = h(q)
-    (``newton_step``: closed form for one row, least squares otherwise)
-    until ||h(q)|| <= eps, for at most ``MAX_PROJECT_ITERS`` steps. Returns
-    the projected configuration, or None when the iteration does not
-    converge (the caller discards the sample). An iterate that diverges
-    past the float range ends as None without a floating-point warning.
+    until ||h(q)|| <= eps, for at most ``MAX_PROJECT_ITERS`` steps, giving up
+    after ``DIVERGENCE_PATIENCE`` steps in a row that do not lower the
+    residual. One row runs on Python floats (``residual``, ``residual_gradient``),
+    more rows take ``newton_step``. Returns the projected configuration as a
+    new array, or None when the iteration does not converge (the caller
+    discards the sample); an iterate or residual that leaves the finite
+    floats ends as None without a floating-point warning.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     q = np.array(q, dtype=float)
-    res = evaluate(m, q)
-    res_norm = norm(res)
+    if q.shape != (m.ambient_dim,):
+        raise ValueError(f"configuration has shape {q.shape}, expected ({m.ambient_dim},)")
+    x = q.tolist() if m.codim == 1 else q
+    res_norm, res = _residual(m, x)
     if res_norm <= eps:
         return q
     increases = 0
     for _ in range(MAX_PROJECT_ITERS):
-        J = np.asarray(m.jacobian(q), dtype=float)
-        try:
-            step = newton_step(J, res)
-        except np.linalg.LinAlgError:
+        x = _newton(m, x, res)
+        if x is None:
             return None
-        q = q - step
-        if not np.isfinite(q).all():
-            return None
-        res = evaluate(m, q)
-        new_norm = norm(res)
+        new_norm, res = _residual(m, x)
         if not math.isfinite(new_norm):
             return None
         if new_norm <= eps:
-            return q
+            return np.asarray(x, dtype=float)
         if new_norm >= res_norm:
             increases += 1
             if increases >= DIVERGENCE_PATIENCE:
@@ -159,7 +182,7 @@ def tangent_nullspace(m, q):
 
     Rank is the number of singular values above ``SV_TOL`` times the largest.
     A zero Jacobian yields the full identity basis. This takes a full SVD;
-    a one-row constraint that only needs B B^T d has ``tangent_component``.
+    ``steering.steer_point`` takes B B^T d of a one-row constraint without it.
     """
     J = np.asarray(m.jacobian(q), dtype=float)
     _, s, Vt = np.linalg.svd(J, full_matrices=True)
@@ -169,13 +192,24 @@ def tangent_nullspace(m, q):
     return Vt[rank:].T
 
 
-class Paraboloid(Manifold):
+class FloatRow(Manifold):
+    """A one-row constraint whose ``h`` and ``jacobian`` are read from its Python-float ``residual_gradient``."""
+
+    def h(self, q):
+        return np.array([self.residual_gradient(q.tolist())[0]])
+
+    def jacobian(self, q):
+        return np.array([self.residual_gradient(q.tolist())[1]])
+
+    def residual(self, xs):
+        return self.residual_gradient(xs)[0]
+
+
+class Paraboloid(FloatRow):
     """h(q) = coeff * (q1^2 + q2^2) + offset - q3 in R^3.
 
-    ``h`` and ``jacobian`` (like ``Cylinder``'s) compute on Python floats:
-    on a 3-vector numpy's per-scalar overhead is most of the cost. A square
-    is ``x * x``, the correctly rounded square, which gives inf past the
-    float range where ``x ** 2`` raises OverflowError.
+    A square is ``x * x``, the correctly rounded square, which gives inf past
+    the float range where ``x ** 2`` raises OverflowError.
     """
 
     def __init__(self, coeff, offset, name="paraboloid"):
@@ -183,16 +217,12 @@ class Paraboloid(Manifold):
         self.coeff = float(coeff)
         self.offset = float(offset)
 
-    def h(self, q):
-        x, y, z = q.tolist()
-        return np.array([self.coeff * (x * x + y * y) + self.offset - z])
-
-    def jacobian(self, q):
-        x, y, _ = q.tolist()
-        return np.array([[2.0 * self.coeff * x, 2.0 * self.coeff * y, -1.0]])
+    def residual_gradient(self, xs):
+        x, y, z = xs
+        return self.coeff * (x * x + y * y) + self.offset - z, [2.0 * self.coeff * x, 2.0 * self.coeff * y, -1.0]
 
 
-class Cylinder(Manifold):
+class Cylinder(FloatRow):
     """h(q) = coeff * (q1^2 + q2^2) - rhs in R^3 (axis-aligned with z)."""
 
     def __init__(self, coeff, rhs, name="cylinder"):
@@ -200,13 +230,9 @@ class Cylinder(Manifold):
         self.coeff = float(coeff)
         self.rhs = float(rhs)
 
-    def h(self, q):
-        x, y, _ = q.tolist()
-        return np.array([self.coeff * (x * x + y * y) - self.rhs])
-
-    def jacobian(self, q):
-        x, y, _ = q.tolist()
-        return np.array([[2.0 * self.coeff * x, 2.0 * self.coeff * y, 0.0]])
+    def residual_gradient(self, xs):
+        x, y, _ = xs
+        return self.coeff * (x * x + y * y) - self.rhs, [2.0 * self.coeff * x, 2.0 * self.coeff * y, 0.0]
 
 
 class PointGoal(Manifold):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Intersection, evaluate, norm, project
+from .manifolds import Intersection, evaluate, norm, project, residual_norm
 from .steering import ZERO_DIRECTION_TOL, psm_steer, steer_point
 
 IK_RETRIES = 100
@@ -429,7 +429,7 @@ def _psm_run(task, params, greedy):
             if new_id is None:
                 continue
             q_new = tree.config(new_id)
-            if norm(evaluate(m_next, q_new)) < params.eps and (
+            if residual_norm(m_next, q_new) < params.eps and (
                     tree._distances(q_new, V_goal) >= params.rho).all():
                 V_goal.append(new_id)
         if not V_goal:
@@ -511,7 +511,7 @@ def psm_star_single_tree(task, params):
 
     def label(i, q_new):
         # a node also on the next manifold belongs to the next phase (the goal has none)
-        if norm(evaluate(task.manifolds[i + 1], q_new)) < params.eps:
+        if residual_norm(task.manifolds[i + 1], q_new) < params.eps:
             return min(i + 1, n - 1), (i, i + 1)
         return i, (i,)
 

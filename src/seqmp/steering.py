@@ -16,22 +16,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import SV_TOL, Intersection, evaluate, norm, project, tangent_component, tangent_nullspace
+from .manifolds import SV_TOL, Intersection, dot, evaluate, norm, project, residual_norm, tangent_nullspace
 
 ZERO_DIRECTION_TOL = 1e-12
 
 
 def steer_point(q_near, q_rand, m, basis=None):
-    """Orthogonal projection of (q_rand - q_near) onto the tangent space at q_near.
+    """Orthogonal projection of d = q_rand - q_near onto the tangent space at q_near.
 
-    A one-row constraint takes the closed form of ``tangent_component``;
-    more rows take B B^T d with ``basis``, the tangent basis B at q_near,
-    which defaults to the one ``tangent_nullspace`` computes.
+    A one-row constraint takes the closed form d - g (g.d) / (g.g), d itself
+    when g = 0, on Python floats from the gradient g of its
+    ``residual_gradient``; more rows take B B^T d with ``basis``, the tangent
+    basis B at q_near, which defaults to the one ``tangent_nullspace`` computes.
     """
     q_near = np.asarray(q_near, dtype=float)
     d = np.asarray(q_rand, dtype=float) - q_near
     if m.codim == 1:
-        return tangent_component(np.asarray(m.jacobian(q_near), dtype=float)[0], d)
+        (_, g), ds = m.residual_gradient(q_near.tolist()), d.tolist()
+        gg = dot(g, g)
+        s = dot(g, ds) / gg if gg else 0.0
+        return np.array([di - gi * s for di, gi in zip(ds, g)])
     B = tangent_nullspace(m, q_near) if basis is None else basis
     return B @ (B.T @ d)
 
@@ -55,13 +59,13 @@ def steer_constraint(q_near, m_i, m_next, basis=None):
 
 
 def _alpha_step(params, q_near, d, m_next):
-    """The configuration ``alpha`` from q_near along d, with its m_next
-    residual; None when d is (numerically) zero."""
+    """The configuration ``alpha`` from q_near along d, built on Python floats, with
+    its m_next ``residual_norm``; None when d is (numerically) zero."""
     d_norm = norm(d)
     if d_norm < ZERO_DIRECTION_TOL:
         return None
-    q_new = q_near + params.alpha * d / d_norm
-    return q_new, norm(evaluate(m_next, q_new))
+    q_new = np.array([x + params.alpha * di / d_norm for x, di in zip(q_near.tolist(), d.tolist())])
+    return q_new, residual_norm(m_next, q_new)
 
 
 def _side(b, d):

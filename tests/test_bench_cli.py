@@ -286,6 +286,24 @@ class TestCli:
         assert rc == 2
         assert "planner parameter overrides must be a JSON object, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["scene_is_a_directory", "params_is_a_directory",
+                                      "path_is_a_directory", "out_is_a_file"])
+    def test_os_error_exits_2_with_a_message(self, tmp_path, capsys, case):
+        target = tmp_path / "target.json"
+        if case == "out_is_a_file":  # os.makedirs raises FileExistsError once the run is over
+            target.write_text("")
+            args = ["plan", "--scene", "point3d_free", "--planner", "psm",
+                    "--params", self._params_file(tmp_path, m=1), "--out", str(target)]
+        else:
+            target.mkdir()
+            args = {"scene_is_a_directory": ["plan", "--scene", str(target), "--planner", "psm"],
+                    "params_is_a_directory": ["plan", "--scene", "point3d_free", "--planner", "psm",
+                                              "--params", str(target)],
+                    "path_is_a_directory": ["validate", "--path", str(target), "--scene", "point3d_free"]}[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         rc = main(["sweep", "--scene", "point3d_free", "--planner", "psm", "--param", "m",
                    "--values", "100,300", "--seeds", "2",

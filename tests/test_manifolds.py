@@ -20,10 +20,10 @@ from seqmp.manifolds import (
     newton_step,
     norm,
     project,
-    tangent_component,
     tangent_nullspace,
 )
 from seqmp import kinematics as kin
+from seqmp.steering import steer_point
 from seqmp.scene import build_benchmark_scene
 from sphere import Sphere
 
@@ -203,11 +203,11 @@ def test_projection_residual_property(x, y, z):
 
 
 @st.composite
-def jacobian_and_rhs(draw):
-    """(J, h, d): an l x k Jacobian (l = 1..6, k = 3..8, so also l > k) that may be
-    zero, have a repeated or a zero row, or have small-integer entries (often rank
-    deficient), with a right-hand side h (l,) and a direction d (k,)."""
-    l, k = draw(st.integers(1, 6)), draw(st.integers(3, 8))
+def jacobian_and_rhs(draw, rows=(1, 6)):
+    """(J, h, d): an l x k Jacobian (l in ``rows``, 1..6 by default, k = 3..8, so also
+    l > k) that may be zero, have a repeated or a zero row, or have small-integer
+    entries (often rank deficient), with a right-hand side h (l,) and a direction d (k,)."""
+    l, k = draw(st.integers(*rows)), draw(st.integers(3, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["normal", "integer", "zero", "repeated_row", "zero_row"]))
     if kind == "integer":
@@ -228,7 +228,7 @@ def _close(got, want, rel=1e-9):
 
 
 @settings(max_examples=300, deadline=None)
-@given(jacobian_and_rhs())
+@given(jacobian_and_rhs(rows=(2, 6)))
 def test_newton_step_is_the_pseudo_inverse_step(case):
     J, h, _ = case
     want = np.linalg.pinv(J, rcond=SV_TOL) @ h
@@ -238,15 +238,33 @@ def test_newton_step_is_the_pseudo_inverse_step(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(jacobian_and_rhs())
-def test_tangent_component_is_the_basis_projection(case):
+@given(jacobian_and_rhs(rows=(1, 1)))
+def test_one_row_projection_takes_the_pseudo_inverse_step(case):
+    # onto a plane g.q = b the float Newton step lands in one step; with eps above
+    # that step's rounding, project returns q minus the pseudo-inverse step
+    J, h, q = case
+    plane = AffinePlane(J, J[0] @ q - h)
+    scale = np.abs(J[0]).sum() * np.abs(q).max() + abs(h[0])
+    got = project(q, plane, eps=1e-12 * scale)
+    if not J.any():  # no gradient, no step: project fails unless q is on the plane
+        assert got is None or np.array_equal(got, q)
+        return
+    assert got is not None
+    assert _close(got, q - np.linalg.pinv(J, rcond=SV_TOL) @ h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_and_rhs(rows=(1, 1)))
+def test_one_row_steer_point_is_the_basis_projection(case):
     J, _, d = case
     g = J[0]
-    B = tangent_nullspace(AffinePlane(g[None], [0.0]), np.zeros(g.size))
-    got = tangent_component(g, d)
+    plane = AffinePlane(J, [0.0])
+    origin = np.zeros(g.size)
+    B = tangent_nullspace(plane, origin)
+    got = steer_point(origin, d, plane)
     assert _close(got, B @ (B.T @ d))
     assert abs(g @ got) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(d)
-    assert _close(tangent_component(g, got), got)
+    assert _close(steer_point(origin, got, plane), got)
 
 
 def _project_pinv(q, m, eps, max_iters=200, patience=10):
@@ -450,3 +468,98 @@ def test_quadric_kernels_overflow_to_inf_without_a_warning(m, big, sign, axis, o
     assert h[0] == math.copysign(math.inf, m.coeff)
     with np.errstate(over="ignore"):
         assert _same(J, _numpy_scalar_jacobian(m, q))
+
+
+# --- the one-row float kernels: residual_gradient and the float Newton loop ---
+
+
+def _one_row_manifolds():
+    """One of each one-row kind: the quadrics on their native kernels, and on the default
+    kernel a plane, a sphere, the transport scenes' carry_upright and one tilted orientation."""
+    out = [Paraboloid(0.1, 2.0), Paraboloid(-0.1, -2.0), Cylinder(0.25, 1.0),
+           AffinePlane([[0.3, -1.2, 0.5]], [0.7]), Sphere(1.0, center=(0.5, -0.2, 0.1))]
+    for name in ("transport_a_mini", "transport_b_mini"):
+        scene = build_benchmark_scene(name)
+        out += [m for m in scene.manifolds if m.codim == 1]
+        out.append(kin.Orientation(scene.system, len(scene.system.chains) - 1, e_z=(0.6, 0.0, 0.8)))
+    return out
+
+
+_ONE_ROW = _one_row_manifolds()
+
+
+def _numpy_form(m, q):
+    """(h, J row, magnitude of the terms) of a native quadric kernel's formula in numpy vector form."""
+    xy = q[:2]
+    last = (m.offset - q[2], -1.0) if isinstance(m, Paraboloid) else (-m.rhs, 0.0)
+    h = m.coeff * (xy @ xy) + last[0]
+    return h, np.append(2.0 * m.coeff * xy, last[1]), abs(m.coeff) * (xy @ xy) + abs(last[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, len(_ONE_ROW) - 1), data=st.data())
+def test_residual_gradient_agrees_with_numpy_forms_and_finite_differences(index, data):
+    m = _ONE_ROW[index]
+    q = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m.ambient_dim, max_size=m.ambient_dim)))
+    h, g = m.residual_gradient(q.tolist())
+    assert type(h) is float and len(g) == m.ambient_dim and all(type(x) is float for x in g)
+    value = m.residual(q.tolist())
+    assert type(value) is float and value == h
+    # h and jacobian read the kernel (FloatRow), or the default kernel reads them
+    assert _same(np.array([h]), evaluate(m, q)) and _same(np.array([g]), np.asarray(m.jacobian(q), dtype=float))
+    if isinstance(m, (Paraboloid, Cylinder)):
+        h_np, g_np, scale = _numpy_form(m, q)
+        assert abs(h - h_np) <= 1e-14 * scale
+        assert np.abs(np.array(g) - g_np).max() <= 1e-14 * max(1.0, np.abs(g_np).max()), m.name
+    if not (isinstance(m, Sphere) and np.linalg.norm(q - m.center) < 1e-3):  # the sphere's kink
+        assert np.abs(fd_jacobian(m, q)[0] - g).max() <= 1e-6 * max(1.0, np.abs(g).max()), m.name
+
+
+def _project_numpy(q, m, eps):
+    """``project`` as it ran every row count on numpy: the oracle. One row took the
+    closed-form step g h / (g.g) on arrays, zero when g = 0, all inf where the
+    quotient overflowed; more rows least squares."""
+    q = np.array(q, dtype=float)
+    res = evaluate(m, q)
+    res_norm = np.linalg.norm(res)
+    if res_norm <= eps:
+        return q
+    increases = 0
+    for _ in range(200):
+        J = np.asarray(m.jacobian(q), dtype=float)
+        if J.shape[0] == 1:
+            g = J[0]
+            gg = float(g @ g)
+            s = float(res[0]) / gg if gg != 0.0 else 0.0
+            step = g * s if math.isfinite(s) else np.full_like(g, math.inf)
+        else:
+            step = np.linalg.lstsq(J, res, rcond=SV_TOL)[0]
+        q = q - step
+        if not np.isfinite(q).all():
+            return None
+        res = evaluate(m, q)
+        new_norm = np.linalg.norm(res)
+        if not math.isfinite(new_norm):
+            return None
+        if new_norm <= eps:
+            return q
+        increases = increases + 1 if new_norm >= res_norm else 0
+        if increases >= 10:
+            return None
+        res_norm = new_norm
+    return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, len(_ONE_ROW) - 1), scale=st.sampled_from([1.0, 10.0, 1e3]),
+       eps=st.sampled_from([1e-2, 1e-5, 1e-9]), data=st.data())
+def test_float_projection_converges_wherever_the_numpy_loop_did(index, scale, eps, data):
+    m = _ONE_ROW[index]
+    q = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=m.ambient_dim, max_size=m.ambient_dim)))
+    with np.errstate(all="ignore"):  # the oracle's numpy arithmetic warns where it overflows
+        old = _project_numpy(q, m, eps)
+    new = project(q, m, eps)
+    if old is not None:
+        assert new is not None, m.name
+        assert abs(evaluate(m, new)[0]) <= eps
