@@ -32,20 +32,25 @@ def digest(path):
     return hashlib.sha256(np.ascontiguousarray(path.configs, dtype=np.float64).tobytes()).hexdigest()
 
 
+def jobs(scenes=None, planners=None, seeds=SEEDS):
+    """(scene, planner, seed, task, params) of each job; None picks every scene or planner."""
+    for scene in scenes or available_scenes():
+        task = bench.resolve_task(scene)
+        overrides = {"m": ROBOT_M} if task.profile == "robot" else None
+        for planner in planners or sorted(PLANNERS):
+            for seed in seeds:
+                yield scene, planner, seed, task, bench.params_with_overrides(task, overrides, seed=seed)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--scene", action="append", choices=available_scenes(), help="default: every built-in scene")
     ap.add_argument("--planner", action="append", choices=sorted(PLANNERS), help="default: every planner")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="default: 0 1 2")
     args = ap.parse_args()
-    for scene in args.scene or available_scenes():
-        task = bench.resolve_task(scene)
-        overrides = {"m": ROBOT_M} if task.profile == "robot" else None
-        for planner in args.planner or sorted(PLANNERS):
-            for seed in args.seeds:
-                params = bench.params_with_overrides(task, overrides, seed=seed)
-                _, path = bench.run(task, planner, params)
-                print(f"{scene} {planner} {seed} {digest(path)}", flush=True)
+    for scene, planner, seed, task, params in jobs(args.scene, args.planner, args.seeds):
+        _, path = bench.run(task, planner, params)
+        print(f"{scene} {planner} {seed} {digest(path)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ step every tree grows by (nearest -> steer -> in-bounds check ->
 ``rrt_star_extend``), and ``_stitch`` builds every ``SolutionPath``. An
 extend skips the work whose outcome is already fixed:
 
-- each tree keeps a steer memo per node (``Tree.memo``) of what its steers
-  compute from the node alone: for ``psm_steer`` the tangent basis on a
-  manifold with two or more rows, the constraint step, and on a curve the
-  steps along +b and -b that every steer there takes, each step with its
-  projections; for ``rrtstar-ik`` the step toward its IK goal. A repeat
-  costs no projection; the memos die with their tree;
-- a result a node's memo keeps reaches ``rrt_star_extend`` once: a repeat
-  is a twin, out of bounds or collides again (``_handed_out_before``);
+- each tree keeps a steer memo per node (``Tree.memo``), which only its
+  steers read and write, of what they compute from the node alone: for
+  ``psm_steer`` the tangent basis on a manifold with two or more rows, the
+  constraint step, and on a curve the steps along +b and -b that every steer
+  there takes. Each (node, step, target) is tried once: the steer marks it
+  in the memo and returns None on a repeat, which would be a twin, out of
+  bounds or collide again. ``rrtstar-ik`` marks its step toward the IK goal
+  the same way. The memos die with their tree;
 - ``rrt_star_extend`` drops a q_new that duplicates a node of the tree
   before its first segment check, on the one distance pass
   (``Tree._distances``) that also gives the neighbours and the costs through
@@ -52,8 +52,6 @@ IK_RETRIES = 100
 IK_GOAL_BIAS = 0.1
 # a q_new within DUPLICATE_TOL * eps of a node of its tree is that node again
 DUPLICATE_TOL = 1e-6
-# the steer-memo key under which ``_Run.extend`` marks the kept results it has handed out
-_HANDED_OUT = "handed_out"
 # goal and seed costs this many ulps of the least or fewer above it tie with it (``_cheapest``)
 COST_TIE_ULPS = 4
 
@@ -280,25 +278,6 @@ def _in_bounds(q, bounds):
     return True
 
 
-def _handed_out_before(memo, q_new):
-    """Whether ``q_new`` is a result the steer memo ``memo`` keeps and has
-    handed out before; the first time, it is marked as handed out.
-
-    Such a repeat from the same node is dropped before ``rrt_star_extend``:
-    the first time it was inserted (so it is now a twin), or it was a twin,
-    out of bounds, or its segment from the node collided, and each of those
-    holds again. The marks are the ids of kept objects, which the memo keeps
-    alive, so no other object can carry one.
-    """
-    if not any(v is q_new for v in memo.values()):
-        return False
-    handed = memo.setdefault(_HANDED_OUT, set())
-    if id(q_new) in handed:
-        return True
-    handed.add(id(q_new))
-    return False
-
-
 class _Run:
     """What every planner run starts from: the start check, the RNG, the
     sampling bounds and the RRT* gamma. ``extend`` is the one RRT* step all
@@ -327,8 +306,8 @@ class _Run:
 
         ``steer(q_near, q_rand, m_i, m_next, memo)`` proposes ``q_new``;
         ``memo`` is the dict the tree keeps for the nearest node, where the
-        steer stores what it computes from that node alone (steps, their
-        projections, a tangent basis). A ``q_new``
+        steer stores what it computes from that node alone (steps, which of
+        them it has tried, a tangent basis). A ``q_new``
         outside the bounds is dropped and the rest goes to
         ``rrt_star_extend``. Every steer projects onto ``m_i``, or onto an
         intersection whose first rows are ``m_i``'s, so ``q_new`` already lies
@@ -345,7 +324,7 @@ class _Run:
         q_new = steer(tree.config(near_id), q_rand, m_i, m_next, memo)
         if memo:  # a node on a one-row manifold that only point-steered stores nothing
             tree.memo[near_id] = memo
-        if q_new is None or _handed_out_before(memo, q_new) or not _in_bounds(q_new, self.bounds):
+        if q_new is None or not _in_bounds(q_new, self.bounds):
             return None
         phase, on = (i, ()) if label is None else label(i, q_new)
         return rrt_star_extend(tree, near_id, q_new, lambda a_id, q: segment_free(a_id, q, on),
@@ -554,13 +533,15 @@ def rrt_star_ik(task, params):
         return project(q_near + min(params.alpha, nd) * d / nd, m_i, params.eps)
 
     def steer(q_near, q_rand, m_i, m_next, memo):
-        # the step toward this phase's IK goal depends on the node alone; each
-        # phase grows a new tree, whose memos die with it, so none outlives its goal
+        # the step toward this phase's IK goal depends on the node alone, so a
+        # node tries it once; each phase grows a new tree, whose memos die with
+        # it, so no mark outlives its goal
         if q_rand is not goal:
             return tangent_step(q_near, q_rand, m_i)
-        if "goal" not in memo:
-            memo["goal"] = tangent_step(q_near, goal, m_i)
-        return memo["goal"]
+        if "goal" in memo:
+            return None
+        memo["goal"] = True
+        return tangent_step(q_near, goal, m_i)
 
     fs = task.free_space
     q_seg_start = task.start()

@@ -390,10 +390,10 @@ def _system_from_dict(d):
     if "chains" not in d:
         raise ValueError("scene 'system' lacks key 'chains'")
     return kin.MultiRobotSystem(chains=_from_entries("system chain", d["chains"], lambda cd: kin.SerialChain(
-        joints=_from_entries("joint", cd["joints"], lambda j: kin.Joint(tuple(j["axis"]), j["type"],
-                                                                        tuple(j["origin"]))),
-        base=tuple(cd["base"]),
-        tool=tuple(cd["tool"]),
+        joints=_from_entries("joint", cd["joints"], lambda j: kin.Joint(
+            _finite_numbers("axis", j["axis"], 3), j["type"], _finite_numbers("origin", j["origin"], 3))),
+        base=_finite_numbers("base", cd["base"], 3),
+        tool=_finite_numbers("tool", cd["tool"], 3),
         limits=tuple(tuple(l) for l in cd["limits"]),
     )))
 
@@ -415,7 +415,7 @@ def _manifold_from_dict(d, system):
         if t == "cylinder":
             return Cylinder(p["coeff"], p["rhs"], **named)
         if t == "goal_point":
-            return PointGoal(p["target"], **named)
+            return PointGoal(_finite_numbers(f"goal_point manifold {d.get('name', t)!r}: target", p["target"]), **named)
         if t == "plane":
             return AffinePlane(p["A"], p["b"], **named)
         if t in ("pick", "handover", "orientation"):
@@ -424,11 +424,9 @@ def _manifold_from_dict(d, system):
             for key in ("chain", "chain1", "chain2"):
                 if key in p:
                     _check_chain_index(f"{t} manifold {d.get('name', t)!r}: {key}", p[key], system)
-            if t == "pick" and np.shape(p["target"]) != (3,):
-                raise ValueError(f"pick manifold {d.get('name', t)!r}: target must be a workspace point "
-                                 f"of 3 coordinates, got {p['target']!r}")
         if t == "pick":
-            return kin.Pick(system, p["chain"], p["target"], name=d.get("name", "pick"))
+            return kin.Pick(system, p["chain"], _finite_numbers(f"pick manifold {d.get('name', t)!r}: target",
+                                                                p["target"], 3), name=d.get("name", "pick"))
         if t == "handover":
             return kin.Handover(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
         if t == "orientation":
@@ -461,6 +459,13 @@ def _is_finite_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _finite_numbers(what, value, n=None):
+    """``value`` as a tuple if it is a list of finite numbers (``n`` unless None), else a ValueError."""
+    if not (isinstance(value, (list, tuple)) and (n is None or len(value) == n) and all(map(_is_finite_real, value))):
+        raise ValueError(f"{what} must be a list of {'' if n is None else f'{n} '}finite numbers, got {value!r}")
+    return tuple(value)
+
+
 def _check_transitions(transitions, n_phases, obstacles, start, system):
     """Each trigger is a distinct phase index, and ``apply_transition``, which
     the planners apply the rules with, accepts every effect when the rules
@@ -491,8 +496,10 @@ def task_from_dict(d):
     manifold or an attach effect has no system to act on, the manifolds,
     ``start``, ``bounds`` and the system's joints disagree on the number of
     configuration coordinates, a ``bounds`` entry is not a finite [lo, hi]
-    pair with lo <= hi or leaves its joint's limits, a ``start`` entry is not a finite
-    number, ``profile``, ``collision_step`` or a transition effect holds a
+    pair with lo <= hi or leaves its joint's limits, a ``start`` entry is not
+    a finite number in its pair, a point (an obstacle corner, a target, a
+    chain's base or tool, a joint's axis or origin) is not finite or has the
+    wrong length, ``profile``, ``collision_step`` or a transition effect holds a
     value outside its allowed set, two transitions share a trigger or one's
     trigger is not a phase index, or an attach or detach names an object
     that is not there to take at its phase.
@@ -523,12 +530,17 @@ def task_from_dict(d):
     for j, b in enumerate(d["bounds"]):
         if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_finite_real, b)) and b[0] <= b[1]):
             raise ValueError(f"bounds entry {j} must be a [lo, hi] pair of finite numbers with lo <= hi, got {b!r}")
+    for j, (x, (lo, hi)) in enumerate(zip(d["start"], d["bounds"])):
+        if not lo <= x <= hi:
+            raise ValueError(f"start entry {j} {x!r} lies outside bounds entry {j} [{lo!r}, {hi!r}]")
     if system is not None:
         for j, (b, (lo, hi)) in enumerate(zip(d["bounds"], system.joint_limits().tolist())):
             if b[0] < lo or b[1] > hi:
                 raise ValueError(f"bounds entry {j} {b!r} leaves the joint limits [{lo!r}, {hi!r}] of its joint")
+    workspace_dim = k if system is None else 3  # a point scene's configuration is its workspace point
     obstacles = _from_entries("obstacle", d.get("obstacles", ()), lambda o: ObstacleAABB(
-        tuple(o["min"]), tuple(o["max"]), name=o.get("name", "")))
+        _finite_numbers("min", o["min"], workspace_dim), _finite_numbers("max", o["max"], workspace_dim),
+        name=o.get("name", "")))
     transitions = _from_entries("transition", d.get("transitions", ()), lambda r: _transition_from_dict(r, system))
     _check_transitions(transitions, len(manifolds) - 1, obstacles, d["start"], system)
     step = d.get("collision_step", DEFAULT_COLLISION_STEP)

@@ -8,9 +8,10 @@ manifold or onto the intersection, with a randomized closeness threshold.
 
 What depends on the tree node alone is memoised per node by the planner's
 tree: the tangent basis of a manifold with two or more rows, the constraint
-step and each projection made of it. On a curve (a one-column basis b)
-every step goes along +b or -b, so a point steer and a constraint steer
-share at most two steps per node, each projected at most once per target.
+step, and which targets each kept step was tried on: each (node, step,
+target) is tried once. On a curve (a one-column basis b) every step goes
+along +b or -b, so a point steer and a constraint steer share at most two
+steps per node, each projected at most once per target.
 """
 from __future__ import annotations
 
@@ -99,11 +100,14 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
       kept under its sign (1.0 or -1.0) with its m_next residual;
     - off curves: the constraint step with its m_next residual under
       ``"constraint"``; a point steer depends on q_rand and keeps nothing;
-    - each projection of a kept step under ``(step key, onto_next)``
-      (onto_next True: onto m_i ∩ m_next).
+    - ``(step key, onto_next)`` once a kept step has been tried on its target
+      (onto_next True: m_i ∩ m_next).
 
-    So every step kept is projected at most once per target: on a curve, at
-    most four projections per node over any number of steers.
+    Each (node, step, target) is tried once: a repeat returns None, since its
+    projection was inserted the first time (so it is now a twin), or was
+    None, a twin, out of bounds or collided from this node, and each of
+    those holds again. On a curve that is at most four projections per node
+    over any number of steers.
     """
     q_near = np.asarray(q_near, dtype=float)
     use_constraint = rng.random() < params.beta
@@ -126,13 +130,13 @@ def psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo=None):
         key = "constraint"
         if key not in memo:
             memo[key] = _alpha_step(params, q_near, steer_constraint(q_near, m_i, m_next, B), m_next)
-    else:  # a point steer off a curve depends on q_rand: its step and projection last one call
+    else:  # a point steer off a curve depends on q_rand: its step and mark last one call
         key, memo = "point", {"point": _alpha_step(params, q_near, steer_point(q_near, q_rand, m_i, B), m_next)}
     step = memo[key]
     if step is None:
         return None
     onto_next = step[1] < threshold
-    if (key, onto_next) not in memo:
-        m = Intersection(m_i, m_next) if onto_next else m_i
-        memo[key, onto_next] = project(step[0], m, params.eps)
-    return memo[key, onto_next]
+    if (key, onto_next) in memo:
+        return None
+    memo[key, onto_next] = True
+    return project(step[0], Intersection(m_i, m_next) if onto_next else m_i, params.eps)

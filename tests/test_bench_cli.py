@@ -388,6 +388,14 @@ _NAMED_ENTRY_CASES = {
     "start_entry_text": ("start entry 0", "'a'"),
     "start_entry_bool": ("start entry 0", "True"),
     "system_dof_differs_from_manifolds": ("'system' has 4 joints", "3 configuration coordinates"),
+    "start_outside_bounds": ("start entry 0", "7.0", "bounds entry 0"),
+    "obstacle_two_dimensional": ("obstacle 0", "min", "3 finite numbers"),
+    "obstacle_corner_nan": ("obstacle 1", "max", "nan"),
+    "goal_point_target_nan": ("manifold 3", "'goal_point'", "target", "nan"),
+    "robot_obstacle_two_dimensional": ("obstacle 0", "min", "3 finite numbers"),
+    "chain_base_two_entries": ("system chain 0", "base", "3 finite numbers"),
+    "chain_tool_two_entries": ("system chain 0", "tool", "3 finite numbers"),
+    "joint_origin_two_entries": ("system chain 0", "joint 1", "origin", "3 finite numbers"),
 }
 
 
@@ -487,6 +495,29 @@ def _bad_scene_files():
         d = json.loads(export_scene_json("plane_cylinder_point"))
         d["start"][0] = bad
         out[case] = d
+    d = copy.deepcopy(point)
+    d["start"] = [7.0, 7.0, 11.8]  # on the first paraboloid, outside the bounds [-6, 6]
+    out["start_outside_bounds"] = d
+    obstacles = json.loads(export_scene_json("point3d_obstacles"))
+    d = copy.deepcopy(obstacles)
+    d["obstacles"][0].update(min=[0.0, 0.0], max=[1.0, 1.0])
+    out["obstacle_two_dimensional"] = d
+    d = copy.deepcopy(obstacles)
+    d["obstacles"][1]["max"][2] = float("nan")
+    out["obstacle_corner_nan"] = d
+    d = copy.deepcopy(point)
+    d["manifolds"][3]["params"]["target"][1] = float("nan")
+    out["goal_point_target_nan"] = d
+    d = copy.deepcopy(robot)
+    d["obstacles"][0].update(min=[0.0, 0.0], max=[1.0, 1.0])
+    out["robot_obstacle_two_dimensional"] = d
+    for case, c, key in (("chain_base_two_entries", 0, "base"), ("chain_tool_two_entries", 0, "tool")):
+        d = copy.deepcopy(robot)
+        d["system"]["chains"][c][key] = [0.0, 0.0]
+        out[case] = d
+    d = copy.deepcopy(robot)
+    d["system"]["chains"][0]["joints"][1]["origin"] = [0.0, 0.3]
+    out["joint_origin_two_entries"] = d
     return out
 
 

@@ -706,21 +706,23 @@ def _record_extends(monkeypatch):
 
 
 class TestHandOutOnce:
-    """A steer result a node's memo keeps reaches rrt_star_extend once: a
-    repeat would be a twin, out of bounds, or collide on the same segment."""
+    """Each (node, step, target) is tried once: the steer returns None on a
+    repeat, which would be a twin, out of bounds, or collide on the same segment."""
 
-    def test_psm_on_transport_a_mini(self, monkeypatch):
-        task = bench.resolve_task("transport_a_mini")
-        params = bench.params_with_overrides(task, {"m": 60}, seed=1)
-        want = psm_star(task, params)
+    @pytest.mark.parametrize("scene", ["point3d_obstacles", "transport_a_mini"])
+    @pytest.mark.parametrize("name", sorted(planner.PLANNERS))
+    def test_no_node_extends_to_the_same_q_new_twice(self, monkeypatch, scene, name):
+        task = bench.resolve_task(scene)
+        params = bench.params_with_overrides(task, {"m": 300}, seed=1)
+        want = planner.PLANNERS[name](task, params)
         calls = _record_extends(monkeypatch)
-        got = psm_star(task, params)
+        got = planner.PLANNERS[name](task, params)
         assert len(calls) == len(set(calls)) > 0
         assert got.configs.tobytes() == want.configs.tobytes()
 
     def test_rrtstar_ik_goal_step(self, monkeypatch):
         # every sample is the IK goal (2, 0), behind a wall across y = 0: the root's
-        # kept step reaches (0.5, 0), whose kept step collides, once
+        # step toward it reaches (0.5, 0), whose step toward it collides, once
         monkeypatch.setattr(planner, "IK_GOAL_BIAS", 1.0)
         calls = _record_extends(monkeypatch)
         wall = FreeSpaceState(obstacles=(ObstacleAABB((0.8, -1.0), (1.2, 1.0)),))
@@ -728,12 +730,6 @@ class TestHandOutOnce:
         with pytest.raises(PlanningFailure, match="no path to the IK goal in phase 0"):
             rrt_star_ik(task, SMALL)
         assert [near_id for _, near_id, _ in calls] == [0, 1]
-
-    def test_a_fresh_steer_result_is_not_marked(self):
-        memo = {"kept": np.zeros(2)}
-        assert not planner._handed_out_before(memo, np.zeros(2))
-        assert not planner._handed_out_before(memo, memo["kept"])
-        assert planner._handed_out_before(memo, memo["kept"])
 
 
 def test_each_radius_is_computed_once_per_free_space(monkeypatch):

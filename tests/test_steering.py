@@ -212,6 +212,21 @@ def _memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, rng):
     return project(q_new, target, params.eps), use_constraint, onto_next
 
 
+def _hand_out_once(want, keys):
+    """The memo-free results ``want`` as a memo hands them out, each (step key, target) once:
+    a result is None when its step key (``keys``, None for a step no memo keeps) and its
+    target came before."""
+    tried, out = set(), []
+    for (q, _, onto_next), key in zip(want, keys):
+        out.append(None if key is not None and (key, onto_next) in tried else q)
+        tried.add((key, onto_next))
+    return out
+
+
+def _same_bytes(q, q_want):
+    return (q is None) == (q_want is None) and (q is None or q.tobytes() == q_want.tobytes())
+
+
 class TestSteerMemo:
     @pytest.mark.parametrize("beta", [1.0, 0.5])
     def test_repeated_constraint_steer_is_memoised(self, monkeypatch, beta):
@@ -226,12 +241,13 @@ class TestSteerMemo:
         assert constraint_targets == {False, True}
         point_steers = sum(not constraint for _, constraint, _ in want)
 
+        handed_out = _hand_out_once(want, ["constraint" if constraint else None for _, constraint, _ in want])
+        assert sum(q is None for q in handed_out) > sum(q is None for q, _, _ in want)
         constraint_steers = record_calls(monkeypatch, "steer_constraint")
         projections = record_calls(monkeypatch, "project")
         rng, memo = np.random.default_rng(8), {}
-        for q_rand, (q_want, _, _) in zip(targets, want):
-            q = psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo)
-            assert (q is None and q_want is None) or q.tobytes() == q_want.tobytes()
+        for q_rand, q_want in zip(targets, handed_out):
+            assert _same_bytes(psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo), q_want)
         # one constraint step and one projection per target; every point steer projects
         assert len(constraint_steers) == 1
         assert len(projections) == point_steers + 2
@@ -242,6 +258,7 @@ class TestSteerMemo:
         memo = {}
         first = psm_steer(params, (0.0, 0.0, 0.0), (9.0, 9.0, 9.0), PLANE_Z, PLANE_X1,
                           np.random.default_rng(0), memo)
+        assert first is not None
 
         def no_projection(*args):
             raise AssertionError("a memoised constraint steer projected again")
@@ -250,7 +267,7 @@ class TestSteerMemo:
         monkeypatch.setattr(steering, "steer_constraint", no_projection)
         again = psm_steer(params, (0.0, 0.0, 0.0), (-9.0, 0.0, 0.0), PLANE_Z, PLANE_X1,
                           np.random.default_rng(0), memo)
-        assert again is first
+        assert again is None
 
 
 # the 4-DOF arm of transport_a_mini: its pick manifold (3 rows) is a curve
@@ -269,13 +286,18 @@ class TestCurveSteer:
     def test_matches_the_memo_free_steer_with_at_most_four_projections(self, q_rands, beta, seed):
         params = PlannerParams(alpha=1.0, beta=beta, r=0.5, eps=1e-5)
         ref_rng = np.random.default_rng(seed)
-        want = [_memo_free_psm_steer(params, ARM_START, np.array(q_rand), PICK, CARRY, ref_rng)[0]
+        want = [_memo_free_psm_steer(params, ARM_START, np.array(q_rand), PICK, CARRY, ref_rng)
                 for q_rand in q_rands]
+        # a step's key is its side of the curve, the sign of b.d
+        (b,) = tangent_nullspace(PICK, ARM_START).T
+        d_constraint = steer_constraint(ARM_START, PICK, CARRY)
+        sides = [float(np.sign(b @ (d_constraint if constraint else np.array(q_rand) - ARM_START)))
+                 for q_rand, (_, constraint, _) in zip(q_rands, want)]
         with pytest.MonkeyPatch.context() as mp:
             projections = record_calls(mp, "project")
             constraint_steers = record_calls(mp, "steer_constraint")
             rng, memo = np.random.default_rng(seed), {}
-            for q_rand, q_want in zip(q_rands, want):
+            for q_rand, q_want in zip(q_rands, _hand_out_once(want, sides)):
                 q = psm_steer(params, ARM_START, np.array(q_rand), PICK, CARRY, rng, memo)
                 assert (q is None) == (q_want is None)
                 if q is not None:
@@ -287,7 +309,8 @@ class TestCurveSteer:
         assert len(constraint_steers) <= 1
 
     def test_point_and_constraint_steers_share_a_step(self, monkeypatch):
-        # the same seed gives both steers the same threshold draw, so the same target
+        # the same seed gives both steers the same threshold draw, so the same target:
+        # the point steer on the constraint steer's side repeats its (step, target)
         params = PlannerParams(alpha=1.0, beta=1.0, r=0.5, eps=1e-5)
         memo = {}
         q_c = psm_steer(params, ARM_START, ARM_START, PICK, CARRY, np.random.default_rng(0), memo)
@@ -297,7 +320,7 @@ class TestCurveSteer:
         projections = record_calls(monkeypatch, "project")
         q_p = psm_steer(dataclasses.replace(params, beta=0.0), ARM_START, toward, PICK, CARRY,
                         np.random.default_rng(0), memo)
-        assert q_p is q_c and not projections
+        assert q_p is None and not projections
 
     def test_q_rand_orthogonal_to_the_curve_returns_none(self, monkeypatch):
         params = PlannerParams(alpha=1.0, beta=0.0, r=0.5, eps=1e-5)
@@ -335,10 +358,13 @@ class TestTwoDimensionalTangentSpace:
         want = [_memo_free_psm_steer(params, q_near, q_rand, m_i, m_next, ref_rng) for q_rand in targets]
         assert {onto for _, constraint, onto in want if constraint} == {False, True}
 
+        handed_out = _hand_out_once(want, ["constraint" if constraint else None for _, constraint, _ in want])
         bases = record_calls(monkeypatch, "tangent_nullspace")
+        projections = record_calls(monkeypatch, "project")
         rng, memo = np.random.default_rng(9), {}
-        for q_rand, (q_want, _, _) in zip(targets, want):
-            q = psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo)
-            assert (q is None and q_want is None) or q.tobytes() == q_want.tobytes()
+        for q_rand, q_want in zip(targets, handed_out):
+            assert _same_bytes(psm_steer(params, q_near, q_rand, m_i, m_next, rng, memo), q_want)
         assert len(bases) == 1
+        # one projection per target for the constraint step; every point steer projects
+        assert len(projections) == sum(not constraint for _, constraint, _ in want) + 2
         assert rng.bit_generator.state == ref_rng.bit_generator.state
