@@ -12,7 +12,8 @@ Per scene x planner it reports:
 - each side's success count, mean and median cost;
 - over the seeds both sides solve, the mean cost difference new - old with a
   paired bootstrap 95% interval (fixed bootstrap seed), how many paths are
-  byte-identical, and the largest cost move;
+  byte-identical, how many have equal vertex counts, and the largest cost
+  move;
 - how many returned paths the new checkout's ``validate_solution`` rejects,
   on each side;
 - on ``plane_cylinder_point``, each side's mean gap to the analytic optimum
@@ -86,8 +87,8 @@ def compare(sides, scene, planner, seeds, optimum):
                 invalid[s] += 1
     both = [k for k in range(len(seeds)) if costs[0][k] is not None and costs[1][k] is not None]
     diffs = [costs[1][k] - costs[0][k] for k in both]
-    identical = sum(configs[0][k].shape == configs[1][k].shape and configs[0][k].tobytes() == configs[1][k].tobytes()
-                    for k in both)
+    same_vertices = [k for k in both if configs[0][k].shape == configs[1][k].shape]
+    identical = sum(configs[0][k].tobytes() == configs[1][k].tobytes() for k in same_vertices)
     return {
         "scene": scene, "planner": planner,
         "old": _side_summary(costs[0], invalid[0], wall[0], optimum),
@@ -96,6 +97,7 @@ def compare(sides, scene, planner, seeds, optimum):
         "mean_diff": statistics.fmean(diffs) if diffs else None,
         "diff_ci95": bootstrap_interval(diffs),
         "identical_paths": identical,
+        "equal_vertex_counts": len(same_vertices),
         "largest_cost_move": max(map(abs, diffs)) if diffs else None,
         "costs": {"old": costs[0], "new": costs[1]},
     }
@@ -117,7 +119,7 @@ def main():
     optimum = j_star()
     rows = []
     print(f"{'scene':>20} {'planner':>11} {'success':>7} {'mean cost old/new':>19} "
-          f"{'new-old [95% CI]':>34} {'same':>4} {'invalid':>7} {'wall s':>13}")
+          f"{'new-old [95% CI]':>34} {'same':>4} {'verts':>5} {'invalid':>7} {'wall s':>13}")
     for scene in scenes:
         for planner in planners:
             row = compare(sides, scene, planner, SEEDS, optimum if scene == ORACLE_SCENE else None)
@@ -128,6 +130,7 @@ def main():
             print(f"{scene:>20} {planner:>11} {old['success']:>3}/{new['success']:<3} "
                   f"{_fmt(old['mean_cost']):>9}/{_fmt(new['mean_cost']):<9} "
                   f"{_fmt(row['mean_diff'], '.2e'):>9} {ci_text:>24} {row['identical_paths']:>4} "
+                  f"{row['equal_vertex_counts']:>5} "
                   f"{old['invalid']:>3}/{new['invalid']:<3} {old['wall_s']:>6.2f}/{new['wall_s']:<6.2f}", flush=True)
     out = {
         "seeds": list(SEEDS), "robot_m": ROBOT_M,

@@ -9,8 +9,8 @@ Runs every job of ``path_digests.py`` (every built-in scene x planner at seeds
 moves a distance in its last bits only. Prints "scene planner seed cost
 reversed_cost" for each job whose cost moves by more than 1e-9 (reversed_cost
 is FAILED when the second run finds no path), then how many of the jobs that
-succeeded moved. A job that moves has a decision that rests on a rounding-level
-tie. It changes no program file.
+succeeded moved, and exits 1 if any job moved. A job that moves has a decision
+that rests on a rounding-level tie. It changes no program file.
 """
 import os
 import sys
@@ -54,7 +54,8 @@ def main():
             print(f"{scene} {planner} {seed} {path.total_cost!r} {'FAILED' if other is None else repr(other.total_cost)}",
                   flush=True)
     print(f"{moved} of {succeeded} jobs that found a path moved by more than {COST_TOL:g} in cost")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,7 +4,9 @@ A manifold is the zero level set of a smooth map h: R^k -> R^l with l <= k.
 All operations are pure functions on immutable manifold objects, so they are
 safe to share between planner runs. Projection and steering run a one-row
 constraint on Python floats through its ``residual`` and ``residual_gradient``,
-since on a short vector numpy's per-call overhead costs more than the arithmetic.
+since on a short vector numpy's per-call overhead costs more than the arithmetic;
+so does the projection onto a crossing of two one-row constraints, whose Newton
+step solves the 2x2 Gram system in closed form.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ import numpy as np
 SV_TOL = 1e-9
 MAX_PROJECT_ITERS = 200
 DIVERGENCE_PATIENCE = 10
+# a two-row float Newton step takes Cramer's rule on G = J J^T while det G > GRAM_TOL (tr G)^2:
+# then J's squared singular value ratio exceeds GRAM_TOL, far above SV_TOL's cut (1e-18)
+GRAM_TOL = 1e-6
 
 
 class Manifold:
@@ -107,33 +112,58 @@ def newton_step(J, h):
     return np.linalg.lstsq(J, h, rcond=SV_TOL)[0]
 
 
-def _residual(m, x):
-    """||h|| at x and h itself: on floats for one row (x a list), else on arrays."""
+def _float_rows(m):
+    """The one-row constraints ``project`` runs m on as Python floats: (m,) for one row,
+    the parts of an ``Intersection`` of two one-row constraints; else None."""
     if m.codim == 1:
-        h = m.residual(x)
-        return abs(h), h  # |h| is what sqrt(h h) rounds to for a normal float h
-    res = evaluate(m, x)
-    return norm(res), res
+        return (m,)
+    return (m.first, m.second) if m.codim == 2 and isinstance(m, Intersection) and m.first.codim == 1 else None
+
+
+def _residual(m, x, rows):
+    """||h|| at x and h itself: a list of floats for float rows (x a list), else an array."""
+    if rows is None:
+        res = evaluate(m, x)
+        return norm(res), res
+    h = [r.residual(x) for r in rows]
+    return (abs(h[0]) if len(h) == 1 else math.sqrt(dot(h, h))), h  # |h| is what sqrt(h h) rounds to
 
 
 def residual_norm(m, q):
-    """||h(q)|| of a configuration array q, on floats for one row (``_residual``)."""
-    return _residual(m, q.tolist() if m.codim == 1 else q)[0]
+    """||h(q)|| of a configuration array q, on floats for float rows (``_residual``)."""
+    rows = _float_rows(m)
+    return _residual(m, q if rows is None else q.tolist(), rows)[0]
 
 
-def _newton(m, x, res):
-    """The Newton iterate after x, None off the finite floats: g h / (g.g) on floats for one row, else ``newton_step``."""
-    if m.codim == 1:
-        _, g = m.residual_gradient(x)
-        gg = dot(g, g)
-        s = res / gg if gg else 0.0  # zero when g = 0; an overflow gives inf, not a warning
-        x = [xi - gi * s for xi, gi in zip(x, g)]
-        return x if all(map(math.isfinite, x)) else None
+def _float_step(gs, h):
+    """The Newton step of one or two gradient rows gs (lists of floats) at the residuals h:
+    g h / (g.g), zero when g = 0; or y1 g1 + y2 g2 with the Gram system [g_i.g_j] y = h solved
+    by Cramer's rule, ``newton_step``'s below ``GRAM_TOL``. An overflow gives inf, not a warning."""
+    if len(gs) == 1:
+        gg = dot(gs[0], gs[0])
+        y = h[0] / gg if gg else 0.0
+        return [gi * y for gi in gs[0]]
+    g1, g2 = gs
+    a11, a12, a22 = dot(g1, g1), dot(g1, g2), dot(g2, g2)
+    det = a11 * a22 - a12 * a12
+    if not det > GRAM_TOL * (a11 + a22) * (a11 + a22):
+        return newton_step(np.array(gs), np.array(h)).tolist()
+    y1, y2 = (h[0] * a22 - h[1] * a12) / det, (h[1] * a11 - h[0] * a12) / det
+    return [y1 * u + y2 * v for u, v in zip(g1, g2)]
+
+
+def _newton(m, x, res, rows):
+    """The Newton iterate after x, None off the finite floats: ``_float_step`` of the
+    ``residual_gradient`` rows for float rows, else ``newton_step``."""
     try:
-        x = x - newton_step(np.asarray(m.jacobian(x), dtype=float), res)
+        if rows is None:
+            x = x - newton_step(np.asarray(m.jacobian(x), dtype=float), res)
+            return x if np.isfinite(x).all() else None
+        s = _float_step([r.residual_gradient(x)[1] for r in rows], res)
     except np.linalg.LinAlgError:
         return None
-    return x if np.isfinite(x).all() else None
+    x = [xi - si for xi, si in zip(x, s)]
+    return x if all(map(math.isfinite, x)) else None
 
 
 def project(q, m, eps):
@@ -142,8 +172,9 @@ def project(q, m, eps):
     Iterates q <- q - s with s the minimum-norm solution of J(q) s = h(q)
     until ||h(q)|| <= eps, for at most ``MAX_PROJECT_ITERS`` steps, giving up
     after ``DIVERGENCE_PATIENCE`` steps in a row that do not lower the
-    residual. One row runs on Python floats (``residual``, ``residual_gradient``),
-    more rows take ``newton_step``. Returns the projected configuration as a
+    residual. One row, and a crossing of two one-row constraints, run on Python
+    floats (``residual``, ``residual_gradient``, ``_float_step``); other systems
+    take ``newton_step``. Returns the projected configuration as a
     new array, or None when the iteration does not converge (the caller
     discards the sample); an iterate or residual that leaves the finite
     floats ends as None without a floating-point warning.
@@ -153,16 +184,17 @@ def project(q, m, eps):
     q = np.array(q, dtype=float)
     if q.shape != (m.ambient_dim,):
         raise ValueError(f"configuration has shape {q.shape}, expected ({m.ambient_dim},)")
-    x = q.tolist() if m.codim == 1 else q
-    res_norm, res = _residual(m, x)
+    rows = _float_rows(m)
+    x = q if rows is None else q.tolist()
+    res_norm, res = _residual(m, x, rows)
     if res_norm <= eps:
         return q
     increases = 0
     for _ in range(MAX_PROJECT_ITERS):
-        x = _newton(m, x, res)
+        x = _newton(m, x, res, rows)
         if x is None:
             return None
-        new_norm, res = _residual(m, x)
+        new_norm, res = _residual(m, x, rows)
         if not math.isfinite(new_norm):
             return None
         if new_norm <= eps:

@@ -394,7 +394,7 @@ def _system_from_dict(d):
             _finite_numbers("axis", j["axis"], 3), j["type"], _finite_numbers("origin", j["origin"], 3))),
         base=_finite_numbers("base", cd["base"], 3),
         tool=_finite_numbers("tool", cd["tool"], 3),
-        limits=tuple(tuple(l) for l in cd["limits"]),
+        limits=tuple(_finite_numbers(f"limits entry {j}", l, 2) for j, l in enumerate(cd["limits"])),
     )))
 
 
@@ -407,33 +407,39 @@ def _check_chain_index(what, value, system):
 def _manifold_from_dict(d, system):
     t, p = d.get("type"), d.get("params", {})
     named = {"name": d["name"]} if "name" in d else {}
+    what = f"{t} manifold {d.get('name', t)!r}"
     if not isinstance(p, dict):
-        raise ValueError(f"{t} manifold {d.get('name', t)!r}: params must be an object, got {p!r}")
+        raise ValueError(f"{what}: params must be an object, got {p!r}")
     try:
-        if t == "paraboloid":
-            return Paraboloid(p["coeff"], p["offset"], **named)
-        if t == "cylinder":
-            return Cylinder(p["coeff"], p["rhs"], **named)
+        if t in ("paraboloid", "cylinder"):
+            keys = ("coeff", "offset") if t == "paraboloid" else ("coeff", "rhs")
+            for key in keys:
+                if not _is_finite_real(p[key]):
+                    raise ValueError(f"{what}: {key} must be a finite number, got {p[key]!r}")
+            return (Paraboloid if t == "paraboloid" else Cylinder)(*(p[key] for key in keys), **named)
         if t == "goal_point":
-            return PointGoal(_finite_numbers(f"goal_point manifold {d.get('name', t)!r}: target", p["target"]), **named)
+            return PointGoal(_finite_numbers(f"{what}: target", p["target"]), **named)
         if t == "plane":
-            return AffinePlane(p["A"], p["b"], **named)
+            plane = AffinePlane(p["A"], _finite_numbers(f"{what}: b", p["b"]), **named)
+            if not np.isfinite(plane.A).all():
+                raise ValueError(f"{what}: A must hold finite numbers, got {p['A']!r}")
+            return plane
         if t in ("pick", "handover", "orientation"):
             if system is None:
-                raise ValueError(f"{t} manifold {d.get('name', t)!r} needs a kinematic 'system' in the scene file")
+                raise ValueError(f"{what} needs a kinematic 'system' in the scene file")
             for key in ("chain", "chain1", "chain2"):
                 if key in p:
-                    _check_chain_index(f"{t} manifold {d.get('name', t)!r}: {key}", p[key], system)
+                    _check_chain_index(f"{what}: {key}", p[key], system)
         if t == "pick":
-            return kin.Pick(system, p["chain"], _finite_numbers(f"pick manifold {d.get('name', t)!r}: target",
-                                                                p["target"], 3), name=d.get("name", "pick"))
+            return kin.Pick(system, p["chain"], _finite_numbers(f"{what}: target", p["target"], 3),
+                            name=d.get("name", "pick"))
         if t == "handover":
             return kin.Handover(system, p["chain1"], p["chain2"], name=d.get("name", "handover"))
         if t == "orientation":
-            return kin.Orientation(system, p["chain"], p.get("e_z", (0.0, 0.0, 1.0)),
-                                   name=d.get("name", "orientation"))
+            e_z = _finite_numbers(f"{what}: e_z", p.get("e_z", (0.0, 0.0, 1.0)), 3)
+            return kin.Orientation(system, p["chain"], e_z, name=d.get("name", "orientation"))
     except KeyError as e:
-        raise ValueError(f"{t} manifold {d.get('name', t)!r} lacks params key {e.args[0]!r}") from None
+        raise ValueError(f"{what} lacks params key {e.args[0]!r}") from None
     raise ValueError(f"unknown manifold type {t!r}")
 
 
@@ -498,8 +504,10 @@ def task_from_dict(d):
     configuration coordinates, a ``bounds`` entry is not a finite [lo, hi]
     pair with lo <= hi or leaves its joint's limits, a ``start`` entry is not
     a finite number in its pair, a point (an obstacle corner, a target, a
-    chain's base or tool, a joint's axis or origin) is not finite or has the
-    wrong length, ``profile``, ``collision_step`` or a transition effect holds a
+    chain's base or tool, a joint's axis or origin, an orientation's ``e_z``)
+    or a chain's ``limits`` pair is not finite or has the wrong length, a
+    quadric's ``coeff``, ``offset`` or ``rhs`` or a plane's ``A`` or ``b`` is
+    not finite, ``profile``, ``collision_step`` or a transition effect holds a
     value outside its allowed set, two transitions share a trigger or one's
     trigger is not a phase index, or an attach or detach names an object
     that is not there to take at its phase.

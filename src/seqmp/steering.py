@@ -5,6 +5,8 @@ current manifold, or steer toward the intersection with the next manifold
 by descending its residual inside the current tangent space. The dispatcher
 takes a fixed-length step and projects either back onto the current
 manifold or onto the intersection, with a randomized closeness threshold.
+Between two one-row constraints both steers are closed forms on Python floats,
+as are the Newton steps onto their crossing; more rows take the tangent basis.
 
 What depends on the tree node alone is memoised per node by the planner's
 tree: the tangent basis of a manifold with two or more rows, the constraint
@@ -22,6 +24,13 @@ from .manifolds import SV_TOL, Intersection, dot, evaluate, norm, project, resid
 ZERO_DIRECTION_TOL = 1e-12
 
 
+def _tangent(g, v):
+    """v - g (g.v) / (g.g) on Python floats, the part of v orthogonal to g; v itself when g = 0."""
+    gg = dot(g, g)
+    s = dot(g, v) / gg if gg else 0.0
+    return [vi - gi * s for vi, gi in zip(v, g)]
+
+
 def steer_point(q_near, q_rand, m, basis=None):
     """Orthogonal projection of d = q_rand - q_near onto the tangent space at q_near.
 
@@ -33,10 +42,7 @@ def steer_point(q_near, q_rand, m, basis=None):
     q_near = np.asarray(q_near, dtype=float)
     d = np.asarray(q_rand, dtype=float) - q_near
     if m.codim == 1:
-        (_, g), ds = m.residual_gradient(q_near.tolist()), d.tolist()
-        gg = dot(g, g)
-        s = dot(g, ds) / gg if gg else 0.0
-        return np.array([di - gi * s for di, gi in zip(ds, g)])
+        return np.array(_tangent(m.residual_gradient(q_near.tolist())[1], d.tolist()))
     B = tangent_nullspace(m, q_near) if basis is None else basis
     return B @ (B.T @ d)
 
@@ -44,12 +50,20 @@ def steer_point(q_near, q_rand, m, basis=None):
 def steer_constraint(q_near, m_i, m_next, basis=None):
     """Descent direction toward the next manifold inside the tangent space of m_i.
 
-    Solves min ||h_next + J_next d||^2 subject to J_i d = 0 via the tangent
-    basis B of m_i at q_near (``basis``, which defaults to the one
-    ``tangent_nullspace`` computes); a rank-deficient system falls back to
-    least squares.
+    The minimum-norm d of min ||h_next + J_next d||^2 subject to J_i d = 0. For
+    one row each and no ``basis`` that is -h_next Pa / (Pa.Pa) on Python floats,
+    Pa = ``_tangent(g, a)`` of the gradients g of m_i and a of m_next, and 0 when
+    Pa.Pa = 0. Otherwise it solves via the tangent basis B of m_i at q_near
+    (``basis``, which defaults to the one ``tangent_nullspace`` computes); a
+    rank-deficient system falls back to least squares.
     """
     q_near = np.asarray(q_near, dtype=float)
+    if basis is None and m_i.codim == 1 and m_next.codim == 1:
+        xs = q_near.tolist()
+        h, a = m_next.residual_gradient(xs)
+        pa = _tangent(m_i.residual_gradient(xs)[1], a)
+        papa = dot(pa, pa)
+        return np.array([-h * pi / papa for pi in pa] if papa else [0.0] * len(pa))
     B = tangent_nullspace(m_i, q_near) if basis is None else basis
     if B.shape[1] == 0:
         return np.zeros_like(q_near)

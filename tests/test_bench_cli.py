@@ -392,6 +392,14 @@ _NAMED_ENTRY_CASES = {
     "obstacle_two_dimensional": ("obstacle 0", "min", "3 finite numbers"),
     "obstacle_corner_nan": ("obstacle 1", "max", "nan"),
     "goal_point_target_nan": ("manifold 3", "'goal_point'", "target", "nan"),
+    "paraboloid_coeff_nan": ("manifold 0", "'paraboloid_up'", "coeff", "nan"),
+    "paraboloid_offset_nan": ("manifold 2", "'paraboloid_down'", "offset", "nan"),
+    "cylinder_coeff_nan": ("manifold 1", "'cylinder_r2'", "coeff", "nan"),
+    "cylinder_rhs_nan": ("manifold 1", "'cylinder_r2'", "rhs", "nan"),
+    "plane_b_nan": ("manifold 0", "'plane_z0'", "b", "nan"),
+    "plane_a_nan": ("manifold 0", "'plane_z0'", "A", "nan"),
+    "orientation_e_z_two_entries": ("manifold 1", "'carry_upright'", "e_z", "3 finite numbers"),
+    "chain_limits_nan": ("system chain 0", "limits entry 0", "nan"),
     "robot_obstacle_two_dimensional": ("obstacle 0", "min", "3 finite numbers"),
     "chain_base_two_entries": ("system chain 0", "base", "3 finite numbers"),
     "chain_tool_two_entries": ("system chain 0", "tool", "3 finite numbers"),
@@ -518,6 +526,23 @@ def _bad_scene_files():
     d = copy.deepcopy(robot)
     d["system"]["chains"][0]["joints"][1]["origin"] = [0.0, 0.3]
     out["joint_origin_two_entries"] = d
+    for case, k, key in (("paraboloid_coeff_nan", 0, "coeff"), ("paraboloid_offset_nan", 2, "offset"),
+                         ("cylinder_coeff_nan", 1, "coeff"), ("cylinder_rhs_nan", 1, "rhs")):
+        d = copy.deepcopy(point)
+        d["manifolds"][k]["params"][key] = float("nan")
+        out[case] = d
+    d = json.loads(export_scene_json("plane_cylinder_point"))
+    d["manifolds"][0]["params"]["b"] = [float("nan")]
+    out["plane_b_nan"] = d
+    d = json.loads(export_scene_json("plane_cylinder_point"))
+    d["manifolds"][0]["params"]["A"][0][2] = float("nan")
+    out["plane_a_nan"] = d
+    d = copy.deepcopy(robot)
+    d["manifolds"][1]["params"]["e_z"] = [0.0, 1.0]
+    out["orientation_e_z_two_entries"] = d
+    d = copy.deepcopy(robot)
+    d["system"]["chains"][0]["limits"][0] = [float("nan"), 1.0]
+    out["chain_limits_nan"] = d
     return out
 
 

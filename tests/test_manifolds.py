@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqmp.manifolds import (
+    GRAM_TOL,
     SV_TOL,
     AffinePlane,
     Cylinder,
@@ -15,6 +16,8 @@ from seqmp.manifolds import (
     Manifold,
     Paraboloid,
     PointGoal,
+    _float_step,
+    dot,
     evaluate,
     fd_jacobian,
     newton_step,
@@ -23,7 +26,7 @@ from seqmp.manifolds import (
     tangent_nullspace,
 )
 from seqmp import kinematics as kin
-from seqmp.steering import steer_point
+from seqmp.steering import steer_constraint, steer_point
 from seqmp.scene import build_benchmark_scene
 from sphere import Sphere
 
@@ -575,3 +578,99 @@ def test_float_projection_converges_wherever_the_numpy_loop_did(index, scale, ep
     if old is not None:
         assert new is not None, m.name
         assert abs(evaluate(m, new)[0]) <= eps
+
+
+# --- two-row crossings: the closed-form Gram step and the float projection ---
+
+
+@st.composite
+def two_gradient_rows(draw):
+    """(g1, g2, h): two gradient rows of k = 3..8 floats each and two residuals, where g2
+    is general, nearly or exactly parallel to g1, far shorter than g1, or zero."""
+    k = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g1 = rng.normal(size=k) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    g2 = rng.normal(size=k) * np.linalg.norm(g1)
+    kind = draw(st.sampled_from(["general", "nearly_parallel", "parallel", "short", "zero"]))
+    if kind == "nearly_parallel":
+        g2 = rng.normal() * g1 + draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1e-2])) * g2
+    elif kind == "parallel":
+        g2 = draw(st.sampled_from([-2.0, 0.5, 1.0])) * g1
+    elif kind == "short":
+        g2 = g2 * draw(st.sampled_from([1e-12, 1e-4, 1e-2]))
+    elif kind == "zero":
+        g2[:] = 0.0
+    return g1.tolist(), g2.tolist(), rng.normal(size=2).tolist()
+
+
+def _closed_form_branch(g1, g2):
+    """Whether ``_float_step`` takes Cramer's rule for the rows g1, g2: its own test, on its own sums."""
+    a11, a12, a22 = dot(g1, g1), dot(g1, g2), dot(g2, g2)
+    return a11 * a22 - a12 * a12 > GRAM_TOL * (a11 + a22) * (a11 + a22)
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_gradient_rows())
+@example(([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, -1.0]))  # exactly parallel: newton_step's cut
+@example(([1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [0.5, -1.0]))  # nearly parallel: newton_step keeps both rows
+@example(([1.0, 2.0, 3.0], [0.0, 1.0, -1.0], [0.5, -1.0]))  # transversal: Cramer's rule
+def test_two_row_float_step_is_the_newton_step(case):
+    g1, g2, h = case
+    J = np.array([g1, g2])
+    want = newton_step(J, np.array(h))
+    got = np.array(_float_step([g1, g2], h))
+    if not _closed_form_branch(g1, g2):
+        assert got.tobytes() == want.tobytes()
+        return
+    # Cramer's rule loses u cond(J)^2, at most u / GRAM_TOL relative to the step bound |J^+| |h|
+    bound = np.linalg.norm(np.linalg.pinv(J), 2) * np.linalg.norm(h)
+    assert np.linalg.norm(got - want) <= 1e-8 * bound
+    assert np.abs(J @ got - h).max() <= 1e-8 * np.abs(J).max() * bound
+
+
+def test_both_two_row_branches_are_reachable():
+    assert _closed_form_branch([1.0, 2.0, 3.0], [0.0, 1.0, -1.0])
+    assert not _closed_form_branch([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+    assert not _closed_form_branch([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_pair_projection_fails_without_a_warning():
+    # transversal planes x = 0 and x + y = 0 at x = 1e308: the closed-form coefficient
+    # (h1 a22 - h2 a12) / det = (2e308 - 1e308) / 1 overflows on the way
+    pair = Intersection(AffinePlane([[1.0, 0.0, 0.0]], [0.0]), AffinePlane([[1.0, 1.0, 0.0]], [0.0]))
+    assert _closed_form_branch([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    assert project(np.array([1e308, 0.0, 0.0]), pair, eps=1e-9) is None
+
+
+def _count_linalg_calls(monkeypatch):
+    """Wrap every function of ``np.linalg`` with a counter; returns the dict of counts."""
+    counts = {}
+    for name in dir(np.linalg):
+        f = getattr(np.linalg, name)
+        if name.startswith("_") or not callable(f) or isinstance(f, type):
+            continue
+
+        def counted(*args, _f=f, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_a_one_row_constraint_steer_makes_no_linear_algebra_call(monkeypatch):
+    counts = _count_linalg_calls(monkeypatch)
+    d = steer_constraint(np.array([1.0, 0.5, 2.125]), Paraboloid(0.1, 2.0), Cylinder(0.25, 1.0))
+    assert counts == {}
+    assert np.isfinite(d).all() and d.any()
+
+
+def test_a_transversal_crossing_projects_without_linear_algebra_calls(monkeypatch):
+    pair = Intersection(Paraboloid(0.1, 2.0), Cylinder(0.25, 1.0))
+    counts = _count_linalg_calls(monkeypatch)
+    q = project(np.array([1.5, 1.2, 2.9]), pair, eps=1e-9)
+    assert counts == {}
+    assert q is not None and np.abs(evaluate(pair, q)).max() <= 1e-9
+    project(np.array([1.5, 1.2, 2.9]), Intersection(Paraboloid(0.1, 2.0), PointGoal((2.0, 0.0, 2.4))), eps=1e-9)
+    assert counts.get("lstsq", 0) > 0  # the counter sees a four-row system's least squares

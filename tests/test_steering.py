@@ -1,5 +1,7 @@
 """Steering directions and the projected steering dispatcher."""
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqmp import bench, steering
-from seqmp.manifolds import AffinePlane, Cylinder, Intersection, Paraboloid, evaluate, project, tangent_nullspace
+from seqmp.manifolds import (SV_TOL, AffinePlane, Cylinder, Intersection, Paraboloid, PointGoal, evaluate, project,
+                             tangent_nullspace)
 from seqmp.planner import PlannerParams
 from seqmp.steering import psm_steer, steer_constraint, steer_point
 from sphere import Sphere
@@ -94,6 +97,78 @@ class TestSteerConstraint:
                 v = B @ np.array([np.cos(phi), np.sin(phi)])
                 best = max(best, np.linalg.norm(h) - np.linalg.norm(evaluate(m_next, q_near + t * v)))
             assert drop >= best - 1e-9
+
+
+@st.composite
+def one_row_manifolds(draw):
+    """A paraboloid, cylinder, plane or sphere in R^3 with drawn parameters."""
+    kind = draw(st.sampled_from(["paraboloid", "cylinder", "plane", "sphere"]))
+    num = st.floats(-2.0, 2.0)
+    if kind == "paraboloid":
+        return Paraboloid(draw(num), draw(num))
+    if kind == "cylinder":
+        return Cylinder(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 3.0)))
+    if kind == "plane":
+        return AffinePlane([draw(st.lists(num, min_size=3, max_size=3))], [draw(num)])
+    return Sphere(draw(st.floats(0.5, 2.0)), center=draw(st.lists(num, min_size=3, max_size=3)))
+
+
+def _length(v):
+    """|v| without overflow or underflow in the squares."""
+    return math.hypot(*v)
+
+
+def _basis_solve(q, m_i, m_next):
+    """The constraint steer through the tangent basis and least squares: the oracle."""
+    B = tangent_nullspace(m_i, q)
+    z, *_ = np.linalg.lstsq(m_next.jacobian(q) @ B, -evaluate(m_next, q), rcond=SV_TOL)
+    return B @ z
+
+
+class TestOneRowConstraintSteer:
+    @settings(max_examples=300, deadline=None)
+    @given(m_i=one_row_manifolds(), m_next=one_row_manifolds(),
+           q=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+    def test_closed_form_is_the_basis_solve(self, m_i, m_next, q):
+        q = np.array(q)
+        g, a = m_i.jacobian(q)[0], m_next.jacobian(q)[0]
+        h = evaluate(m_next, q)[0]
+        got = steer_constraint(q, m_i, m_next)
+        assert got.shape == (3,)
+        # the part of a orthogonal to g; the steer is ill-conditioned by |a| / |Pa|
+        pa = a - g * (g @ a) / (g @ g) if g @ g else a
+        if _length(pa) <= 1e-4 * _length(a):
+            return
+        assert np.isfinite(got).all()
+        if min(g @ g, pa @ pa) < sys.float_info.min:
+            # below the normal floats g.g = 0 takes P = I and Pa.Pa = 0 the zero vector,
+            # where the SVD, which scales, still finds the tangent space and a direction
+            return
+        want = _basis_solve(q, m_i, m_next)
+        assert _length(got - want) <= 1e-9 * _length(want)
+        assert abs(g @ got) <= 1e-10 * _length(g) * _length(got)
+        assert abs(a @ got + h) <= 1e-10 * max(abs(h), _length(a) * _length(got))
+
+    def test_zero_gradient_of_m_i_steers_along_the_next_gradient(self):
+        # on the cylinder's axis its gradient vanishes: the tangent space is all of R^3
+        q = np.array([0.0, 0.0, 0.5])
+        m_next = AffinePlane([[1.0, 2.0, 2.0]], [3.0])
+        got = steer_constraint(q, Cylinder(0.25, 1.0), m_next)
+        assert got == pytest.approx(_basis_solve(q, Cylinder(0.25, 1.0), m_next), abs=1e-15)
+        assert got == pytest.approx([2.0 / 9.0, 4.0 / 9.0, 4.0 / 9.0], abs=1e-15)
+
+    def test_parallel_gradients_give_the_zero_vector(self):
+        got = steer_constraint((0.3, -0.2, 0.0), PLANE_Z, AffinePlane([[0.0, 0.0, 2.0]], [1.0]))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+    def test_multi_row_next_and_a_passed_basis_keep_the_basis_solve(self, monkeypatch):
+        m_i, q = Paraboloid(0.1, 2.0), np.array([1.0, 0.5, 2.125])
+        goal, basis = PointGoal((-3.5, -3.5, -4.45)), tangent_nullspace(m_i, q)
+        assert steer_constraint(q, m_i, goal).tobytes() == _basis_solve(q, m_i, goal).tobytes()
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        steer_constraint(q, m_i, Cylinder(0.25, 1.0), basis)
+        assert calls == [1]
 
 
 def record_calls(monkeypatch, name):
